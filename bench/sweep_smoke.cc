@@ -2,7 +2,7 @@
  * @file
  * CI smoke sweep: a small grid on 2 worker threads, re-run
  * single-threaded, with the shard-determinism property checked
- * end-to-end (byte-identical CSV + equal fingerprints). Exits
+ * end-to-end (byte-identical CSV and JSON + equal fingerprints). Exits
  * non-zero on any divergence, wedge, or corruption, so CI fails the
  * PR. Writes the deterministic CSV (plus wall times to stdout).
  */
@@ -54,10 +54,13 @@ main(int argc, char **argv)
     sweep::SweepResult a = sweep::SweepDriver(sharded).run(grid);
     sweep::SweepResult b = sweep::SweepDriver(solo).run(grid);
 
-    std::ostringstream csvA, csvB;
+    std::ostringstream csvA, csvB, jsonA, jsonB;
     a.writeCsv(csvA);
     b.writeCsv(csvB);
+    a.writeJson(jsonA);
+    b.writeJson(jsonB);
     bool identical = csvA.str() == csvB.str() &&
+                     jsonA.str() == jsonB.str() &&
                      a.fingerprint() == b.fingerprint();
 
     sweep::SweepAggregate agg = a.aggregate();
@@ -70,7 +73,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(agg.mismatches),
                 static_cast<unsigned long long>(agg.wedgedCells));
     std::printf("fingerprint=%016llx (2 threads) vs %016llx (1 "
-                "thread): %s\n",
+                "thread), CSV + JSON bytes: %s\n",
                 static_cast<unsigned long long>(a.fingerprint()),
                 static_cast<unsigned long long>(b.fingerprint()),
                 identical ? "IDENTICAL" : "DIVERGED");

@@ -40,10 +40,18 @@ atomicWriteFile(const std::string &path, const std::string &bytes)
 std::string
 formatDouble(double v)
 {
+    std::string out;
+    appendDouble(out, v);
+    return out;
+}
+
+void
+appendDouble(std::string &out, double v)
+{
     char buf[40];
     auto res = std::to_chars(buf, buf + sizeof(buf), v,
                              std::chars_format::general, 17);
-    return std::string(buf, res.ptr);
+    out.append(buf, res.ptr);
 }
 
 } // namespace sim

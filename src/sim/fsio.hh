@@ -45,6 +45,9 @@ bool atomicWriteFile(const std::string &path, const std::string &bytes);
  */
 std::string formatDouble(double v);
 
+/** Append formatDouble(v) to @p out without a temporary string. */
+void appendDouble(std::string &out, double v);
+
 } // namespace sim
 } // namespace mbus
 

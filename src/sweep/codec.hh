@@ -1,36 +1,52 @@
 /**
  * @file
- * Canonical, byte-stable serialization of sweep cells.
+ * Canonical, byte-stable serialization of sweep cells, generated from
+ * the field table in sweep/schema.hh.
  *
- * Two encoders with one framing:
+ * The codec is two visitors over that table: a Writer that appends
+ * one token per scalar field, and a Reader that parses them back.
+ * Neither names a field; a record's bytes are its table walked in
+ * order. A string, double, bool, integer or enum is one token; a
+ * vector is its element count followed by its elements; a sub-record
+ * is its own table, inline.
  *
- *  - encodeSpec(): the *canonical* form of a ScenarioSpec -- every
- *    field (including the workload, fault, retry, and trace subtrees)
- *    in one fixed order, doubles in the 17-digit round-trip format.
- *    Two specs encode to identical bytes iff they describe identical
- *    cells, which is exactly what the fleet's content-addressed cell
- *    cache hashes (sim/hash.hh FNV-1a over spec bytes + seed + salt)
- *    and what the coordinator ships to workers over the pipe.
+ *  - encodeSpec(): the *canonical* form of a ScenarioSpec. Two specs
+ *    encode to identical bytes iff they describe identical cells,
+ *    which is exactly what the fleet's content-addressed cell cache
+ *    hashes (sim/hash.hh FNV-1a over spec bytes + seed + salt) and
+ *    what the coordinator ships to workers over the pipe.
  *
  *  - encodeStats(): a complete round-trip of a ScenarioStats record,
  *    so a worker process (or a cache hit, or a checkpoint-journal
  *    replay) can hand a finished cell back to the coordinator and the
  *    merged CSV/JSON/fingerprint is byte-identical to an in-process
- *    run. decodeStats() of encodeStats() reproduces every field
- *    exactly -- doubles included (17 significant digits round-trip
- *    any IEEE-754 double).
+ *    run. Doubles use the 17-digit format, which round-trips every
+ *    IEEE-754 value, -0.0 included.
  *
  * Framing: '|'-separated tokens; strings are percent-escaped so a
  * token never contains '|', '%', whitespace, or control bytes. Both
- * encodings carry a leading version tag ("spec1" / "stat1"); decoders
- * reject anything else, which is what lets a harness-version bump
- * invalidate stale cache entries and journals safely.
+ * encodings carry a leading version tag ("spec1" / "stat1").
+ *
+ * Decoding is strict. The Reader accepts only the bytes a Writer
+ * would have produced: an enum past its last enumerator, an integer
+ * that overflows its field, a non-canonical number or escape, a count
+ * larger than the input could hold (or past the per-vector bounds:
+ * 4096 records or strings, 2^26 numbers, 65536 metric samples) all
+ * make decoding fail. A successful decode therefore re-encodes to the
+ * input byte for byte.
+ *
+ * Adding, removing or reordering a table row moves the bytes, so it
+ * needs a new tag ("spec2" / "stat2") and a fleet::kHarnessVersionSalt
+ * bump: stale cache entries and journals are then rejected instead of
+ * misread. Renaming a row, or adding a report column computed from
+ * existing fields, keeps every byte and needs neither.
  */
 
 #ifndef MBUS_SWEEP_CODEC_HH
 #define MBUS_SWEEP_CODEC_HH
 
 #include <string>
+#include <string_view>
 
 #include "sweep/scenario.hh"
 
@@ -41,8 +57,9 @@ namespace sweep {
  *  '%', whitespace, or bytes outside printable ASCII). */
 std::string escapeToken(const std::string &raw);
 
-/** Invert escapeToken(). Invalid escapes decode as-is. */
-std::string unescapeToken(const std::string &token);
+/** Invert escapeToken() into @p out. @return false when @p token is
+ *  not something escapeToken() could have produced. */
+bool unescapeToken(std::string_view token, std::string &out);
 
 /** Canonical serialization of every ScenarioSpec field. */
 std::string encodeSpec(const ScenarioSpec &spec);

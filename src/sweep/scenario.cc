@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/lifetime.hh"
@@ -14,6 +16,7 @@
 #include "mbus/message.hh"
 #include "sim/logging.hh"
 #include "sim/vcd.hh"
+#include "sweep/schema.hh"
 
 namespace mbus {
 namespace sweep {
@@ -130,6 +133,29 @@ makePlan(const ScenarioSpec &spec, backend::BusBackend &backend,
         plan.push_back(std::move(tx));
     }
     return plan;
+}
+
+/**
+ * Register the stats fields called @p names (sweep/schema.hh), in
+ * that order: numbers as counters, doubles as gauges, and a vector
+ * field as a counter of its length.
+ */
+void
+registerStats(trace::MetricsRegistry &reg, const ScenarioStats &st,
+              std::initializer_list<const char *> names)
+{
+    for (const char *name : names)
+        forEachField(st, [&](const char *field, const auto &v) {
+            using T = std::decay_t<decltype(v)>;
+            if (std::strcmp(field, name) != 0)
+                return;
+            if constexpr (std::is_same_v<T, double>)
+                reg.gauge(field, v);
+            else if constexpr (std::is_integral_v<T>)
+                reg.counter(field, static_cast<std::uint64_t>(v));
+            else
+                reg.counter(field, v.size());
+        });
 }
 
 void runClassicTraffic(const ScenarioSpec &spec,
@@ -349,28 +375,16 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
         }
         st.flightDumps = tracer->dumps();
 
-        // Unified metrics snapshot: the ad-hoc taps above, plus the
-        // tracer's own counts, registered in one fixed order so the
-        // packed column is byte-stable.
+        // Unified metrics snapshot, registered in one fixed order so
+        // the packed column is byte-stable: stats fields by their
+        // schema name, the tracer's own counts, two summaries.
         trace::MetricsRegistry reg;
-        reg.counter("events_executed", st.eventsExecuted);
-        reg.counter("dispatch_calls", st.dispatchCalls);
-        reg.counter("train_edges", st.trainEdges);
-        reg.counter("trains_scheduled", st.trainsScheduled);
-        reg.counter("clock_cycles", st.clockCycles);
-        reg.counter("slab_slots", st.slabSlots);
-        reg.counter("slab_live_peak", st.liveHighWater);
-        reg.counter("heap_callbacks", st.heapCallbacks);
-        reg.counter("fault_events",
-                    static_cast<std::uint64_t>(st.faultEvents));
-        reg.counter("bus_resets", st.busResets);
-        reg.counter("retries", st.retries);
-        reg.counter("recovered_tx",
-                    static_cast<std::uint64_t>(st.recoveredTx));
-        reg.counter("abandoned_tx",
-                    static_cast<std::uint64_t>(st.abandonedTx));
-        reg.counter("trace_events", st.traceEvents);
-        reg.counter("flight_dumps", st.flightDumps.size());
+        registerStats(reg, st,
+                      {"events_executed", "dispatch_calls", "train_edges",
+                       "trains_scheduled", "clock_cycles", "slab_slots",
+                       "slab_live_peak", "heap_callbacks", "fault_events",
+                       "bus_resets", "retries", "recovered_tx",
+                       "abandoned_tx", "trace_events", "flight_dumps"});
         reg.counter(
             "watchdog_rescues",
             tracer->countOf(trace::EventKind::WatchdogRescue));
@@ -379,8 +393,7 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
         reg.counter(
             "interjections",
             tracer->countOf(trace::EventKind::InterjectRequest));
-        reg.gauge("goodput_bps", st.goodputBps);
-        reg.gauge("energy_per_sample_j", st.energyPerSampleJ);
+        registerStats(reg, st, {"goodput_bps", "energy_per_sample_j"});
         if (!st.txLatenciesS.empty())
             reg.histogram("tx_latency_s", st.txLatenciesS);
         std::uint64_t edgeSum = 0;

@@ -1,14 +1,17 @@
 #include "sweep/sweep.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "sim/fsio.hh"
 #include "sim/random.hh"
@@ -17,18 +20,6 @@ namespace mbus {
 namespace sweep {
 
 namespace {
-
-/**
- * Byte-stable double formatting (17-digit std::to_chars, shared with
- * the trace layer): two runs that computed identical values print
- * identical bytes -- the property the shard-determinism tests and
- * fingerprint() rely on.
- */
-std::string
-fmt(double v)
-{
-    return sim::formatDouble(v);
-}
 
 /**
  * Cell names are free-form user strings; strip the characters that
@@ -47,6 +38,387 @@ sanitizeName(const std::string &name)
     return out;
 }
 
+/**
+ * One report value: an integer, a real (17-digit, byte-stable), a
+ * flag (1/0 in CSV, true/false in JSON) or text (bare in CSV, quoted
+ * in JSON). Columns sanitize their own text, so neither format
+ * escapes it.
+ */
+struct Value
+{
+    enum Kind { Int, Uint, Real, Flag, Text };
+
+    template <class T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+    Value(T v)
+        : kind(std::is_same_v<T, bool> ? Flag
+               : std::is_signed_v<T>   ? Int
+                                       : Uint),
+          i(static_cast<std::int64_t>(v)), u(static_cast<std::uint64_t>(v))
+    {
+    }
+    Value(double v) : kind(Real), d(v) {}
+    Value(std::string v) : kind(Text), text(std::move(v)) {}
+    Value(const char *v) : kind(Text), text(v) {}
+
+    Kind kind;
+    std::int64_t i = 0;
+    std::uint64_t u = 0;
+    double d = 0;
+    std::string text;
+};
+
+void
+append(std::string &out, const Value &v, bool json)
+{
+    char buf[24];
+    switch (v.kind) {
+    case Value::Int:
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v.i).ptr);
+        break;
+    case Value::Uint:
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v.u).ptr);
+        break;
+    case Value::Real: sim::appendDouble(out, v.d); break;
+    case Value::Flag:
+        out += json ? (v.u ? "true" : "false") : (v.u ? "1" : "0");
+        break;
+    case Value::Text:
+        if (json)
+            out += '"';
+        out += v.text;
+        if (json)
+            out += '"';
+        break;
+    }
+}
+
+/** Append one `"name": value` JSON member, comma-separated unless it
+ *  opens its object. */
+void
+member(std::string &out, const char *name, const Value &v)
+{
+    if (out.back() != '{')
+        out += ", ";
+    out += '"';
+    out += name;
+    out += "\": ";
+    append(out, v, /*json=*/true);
+}
+
+/** A '|'-packed field of the CSV form of @p f over @p seq
+ *  ("1024|988|1002"): CSV/JSON-safe without further quoting. */
+template <class Seq, class F>
+std::string
+pack(const Seq &seq, F f)
+{
+    std::string out;
+    bool first = true;
+    for (const auto &e : seq) {
+        if (!first)
+            out += '|';
+        first = false;
+        append(out, f(e), /*json=*/false);
+    }
+    return out;
+}
+
+std::string
+packEdges(const std::vector<std::uint64_t> &edges)
+{
+    return pack(edges, [](std::uint64_t e) { return e; });
+}
+
+template <class Row> using Getter = Value (*)(const Row &);
+
+/** A named report column over one Row type. */
+template <class Row>
+struct Column
+{
+    const char *name;
+    Getter<Row> get;
+};
+
+/** The column called @p name in @p table; an unknown name fails to
+ *  compile wherever the lookup is a constant. */
+template <class Row, std::size_t N>
+constexpr Column<Row>
+named(const Column<Row> (&table)[N], std::string_view name)
+{
+    for (const Column<Row> &col : table)
+        if (name == col.name)
+            return col;
+    throw "no such column";
+}
+
+using Actor = const workload::ActorStats &;
+using Cell = const CellResult &;
+
+template <auto M>
+Value
+actor(Actor a)
+{
+    return a.*M;
+}
+
+/** Member M of the cell's spec or of its stats, whichever has it. */
+template <auto M>
+Value
+field(Cell c)
+{
+    if constexpr (std::is_invocable_v<decltype(M), const ScenarioSpec &>)
+        return c.spec.*M;
+    else
+        return c.stats.*M;
+}
+
+/** The JSON "actors" objects; the actor_* CSV columns pack their
+ *  numbers. */
+constexpr Column<workload::ActorStats> kActorColumns[] = {
+    {"name", [](Actor a) -> Value { return sanitizeName(a.name); }},
+    {"kind", [](Actor a) -> Value { return actorKindName(a.kind); }},
+    {"node", actor<&workload::ActorStats::node>},
+    {"samples", actor<&workload::ActorStats::samplesDelivered>},
+    {"missed", actor<&workload::ActorStats::missedDeadlines>},
+    {"lat_p50_s", actor<&workload::ActorStats::latencyP50S>},
+    {"lat_p95_s", actor<&workload::ActorStats::latencyP95S>},
+    {"lat_p99_s", actor<&workload::ActorStats::latencyP99S>},
+    {"energy_per_sample_j", actor<&workload::ActorStats::energyPerSampleJ>},
+    {"duty_cycle", actor<&workload::ActorStats::dutyCycle>},
+};
+
+/** An actor column, '|'-packed across the cell's actors. */
+template <Getter<workload::ActorStats> G>
+Value
+actors(Cell c)
+{
+    return pack(c.stats.actorStats, G);
+}
+
+constexpr Getter<workload::ActorStats>
+actorColumn(std::string_view name)
+{
+    return named(kActorColumns, name).get;
+}
+
+/**
+ * Every CSV column, in order, with the accessor that computes it from
+ * a finished cell. writeJson() prints named subsets, and aggregate()
+ * sums the columns its table names.
+ */
+constexpr Column<CellResult> kCsv[] = {
+    {"index", [](Cell c) -> Value { return c.index; }},
+    {"name", [](Cell c) -> Value { return sanitizeName(c.spec.name); }},
+    {"nodes", field<&ScenarioSpec::nodes>},
+    {"clock_hz", field<&ScenarioSpec::busClockHz>},
+    {"hop_delay_ns", field<&ScenarioSpec::hopDelayNs>},
+    {"wire_length_mm", field<&ScenarioSpec::wireLengthMm>},
+    {"wire_cap_f_per_mm", field<&ScenarioSpec::wireCapFPerMm>},
+    {"payload_bytes", field<&ScenarioSpec::payloadBytes>},
+    {"messages", field<&ScenarioSpec::messages>},
+    {"lanes", field<&ScenarioSpec::dataLanes>},
+    {"traffic",
+     [](Cell c) -> Value { return trafficPatternName(c.spec.traffic); }},
+    {"gated", field<&ScenarioSpec::powerGated>},
+    {"full_addr", field<&ScenarioSpec::fullAddressing>},
+    {"priority_rate", field<&ScenarioSpec::priorityRate>},
+    {"interject_rate", field<&ScenarioSpec::interjectRate>},
+    {"time_limit_ps", field<&ScenarioSpec::timeLimit>},
+    {"edge_trains", field<&ScenarioSpec::edgeTrains>},
+    {"backend",
+     [](Cell c) -> Value { return backend::backendKindName(c.spec.backend); }},
+    {"fault_spec",
+     [](Cell c) -> Value {
+         const fault::FaultSpec &f = c.spec.faults;
+         if (!f.enabled())
+             return "-";
+         return f.name.empty() ? "on" : sanitizeName(f.name);
+     }},
+    {"max_retries", [](Cell c) -> Value { return c.spec.retry.maxRetries; }},
+    {"seed", [](Cell c) -> Value { return c.seed; }},
+    {"planned", field<&ScenarioStats::planned>},
+    {"acked", field<&ScenarioStats::acked>},
+    {"naked", field<&ScenarioStats::naked>},
+    {"broadcast", field<&ScenarioStats::broadcasts>},
+    {"interrupted", field<&ScenarioStats::interrupted>},
+    {"rx_abort", field<&ScenarioStats::rxAborts>},
+    {"failed", field<&ScenarioStats::failed>},
+    {"mismatches", field<&ScenarioStats::payloadMismatches>},
+    {"wedged", field<&ScenarioStats::wedged>},
+    {"bytes_delivered", field<&ScenarioStats::bytesDelivered>},
+    {"tx_per_s", field<&ScenarioStats::txPerSecond>},
+    {"goodput_bps", field<&ScenarioStats::goodputBps>},
+    {"events", field<&ScenarioStats::eventsExecuted>},
+    {"events_per_bit", field<&ScenarioStats::eventsPerBit>},
+    {"train_edges", field<&ScenarioStats::trainEdges>},
+    {"dispatch_calls", field<&ScenarioStats::dispatchCalls>},
+    {"clock_cycles", field<&ScenarioStats::clockCycles>},
+    {"arb_retries", field<&ScenarioStats::arbitrationRetries>},
+    {"switching_j", field<&ScenarioStats::switchingJ>},
+    {"leakage_j", field<&ScenarioStats::leakageJ>},
+    {"energy_per_sample_j", field<&ScenarioStats::energyPerSampleJ>},
+    {"lifetime_days", field<&ScenarioStats::lifetimeDays>},
+    {"avg_tx_latency_s", field<&ScenarioStats::avgTxLatencyS>},
+    {"first_tx_latency_s", field<&ScenarioStats::firstTxLatencyS>},
+    {"lat_p50_s", field<&ScenarioStats::latencyP50S>},
+    {"lat_p95_s", field<&ScenarioStats::latencyP95S>},
+    {"lat_p99_s", field<&ScenarioStats::latencyP99S>},
+    {"avg_cycles_per_tx", field<&ScenarioStats::avgCyclesPerTx>},
+    {"sim_time_ps", field<&ScenarioStats::simTime>},
+    {"per_node_edges",
+     [](Cell c) -> Value { return packEdges(c.stats.perNodeEdges); }},
+    {"vcd_bytes", field<&ScenarioStats::vcdBytes>},
+    {"vcd_hash", field<&ScenarioStats::vcdHash>},
+    {"workload",
+     [](Cell c) -> Value {
+         const workload::WorkloadSpec &w = c.spec.workload;
+         return w.enabled() ? sanitizeName(w.name) : "-";
+     }},
+    {"samples_planned", field<&ScenarioStats::samplesPlanned>},
+    {"samples_delivered", field<&ScenarioStats::samplesDelivered>},
+    {"missed_deadlines", field<&ScenarioStats::missedDeadlines>},
+    {"storm_interjections", field<&ScenarioStats::stormInterjections>},
+    {"gate_windows", field<&ScenarioStats::gateWindows>},
+    {"faults", field<&ScenarioStats::faultsInjected>},
+    {"faults_recovered", field<&ScenarioStats::faultsRecovered>},
+    {"retimings", field<&ScenarioStats::retimings>},
+    {"fault_events", field<&ScenarioStats::faultEvents>},
+    {"bus_resets", field<&ScenarioStats::busResets>},
+    {"tx_resets", field<&ScenarioStats::txResets>},
+    {"retries_used", field<&ScenarioStats::retries>},
+    {"recovered_tx", field<&ScenarioStats::recoveredTx>},
+    {"abandoned_tx", field<&ScenarioStats::abandonedTx>},
+    {"recovery_p50_s", field<&ScenarioStats::recoveryP50S>},
+    {"recovery_p95_s", field<&ScenarioStats::recoveryP95S>},
+    {"recovery_p99_s", field<&ScenarioStats::recoveryP99S>},
+    // ok|interrupted|overflow|reset: the delivery/abort outcome census.
+    {"outcome_counts",
+     [](Cell c) -> Value {
+         const ScenarioStats &s = c.stats;
+         int counts[] = {s.deliveredOk, s.deliveredInterrupted,
+                         s.deliveredOverflow, s.txResets};
+         return pack(counts, [](int n) { return n; });
+     }},
+    // '|' separates the names, so it is stripped from them too.
+    {"actor_names",
+     [](Cell c) -> Value {
+         return pack(c.stats.actorStats, [](Actor a) {
+             std::string n = sanitizeName(a.name);
+             std::replace(n.begin(), n.end(), '|', '_');
+             return n;
+         });
+     }},
+    {"actor_samples", actors<actorColumn("samples")>},
+    {"actor_missed", actors<actorColumn("missed")>},
+    {"actor_lat_p50_s", actors<actorColumn("lat_p50_s")>},
+    {"actor_lat_p95_s", actors<actorColumn("lat_p95_s")>},
+    {"actor_lat_p99_s", actors<actorColumn("lat_p99_s")>},
+    {"actor_energy_per_sample_j",
+     actors<actorColumn("energy_per_sample_j")>},
+    {"actor_duty_cycle", actors<actorColumn("duty_cycle")>},
+    {"slab_slots", field<&ScenarioStats::slabSlots>},
+    {"slab_live_peak", field<&ScenarioStats::liveHighWater>},
+    {"heap_callbacks", field<&ScenarioStats::heapCallbacks>},
+    {"trace_events", field<&ScenarioStats::traceEvents>},
+    {"trace_bytes", [](Cell c) -> Value { return c.stats.traceJson.size(); }},
+    {"trace_hash", field<&ScenarioStats::traceHash>},
+    {"flight_dumps",
+     [](Cell c) -> Value { return c.stats.flightDumps.size(); }},
+    // The cell's metrics snapshot (registry-formatted names and values,
+    // so CSV/JSON-safe); empty for untraced cells.
+    {"metrics",
+     [](Cell c) -> Value { return trace::packSamples(c.stats.metrics); }},
+};
+
+constexpr Getter<CellResult>
+csvColumn(std::string_view name)
+{
+    return named(kCsv, name).get;
+}
+
+template <std::size_t N>
+constexpr std::array<Column<CellResult>, N>
+csvColumns(const char *const (&names)[N])
+{
+    std::array<Column<CellResult>, N> out{};
+    for (std::size_t i = 0; i < N; ++i)
+        out[i] = named(kCsv, names[i]);
+    return out;
+}
+
+/** The JSON per-cell object... */
+constexpr auto kJsonCell = csvColumns({
+    "index", "name", "backend", "seed", "acked", "energy_per_sample_j",
+    "lifetime_days", "goodput_bps", "events_per_bit", "train_edges",
+    "dispatch_calls", "lat_p50_s", "lat_p95_s", "lat_p99_s",
+    "per_node_edges", "switching_j", "wedged", "fault_events",
+    "bus_resets", "tx_resets", "retries_used", "recovered_tx",
+    "abandoned_tx", "outcome_counts", "slab_live_peak", "trace_events",
+    "trace_bytes", "trace_hash", "flight_dumps", "metrics",
+});
+
+/** ...plus, for workload cells, these and the "actors" objects. */
+constexpr auto kJsonWorkload =
+    csvColumns({"workload", "samples_planned", "samples_delivered",
+                "missed_deadlines", "faults", "retimings"});
+
+/**
+ * One member of the JSON "aggregate" object (per_node_edges aside),
+ * in output order. A member with a column is that column summed over
+ * the cells in grid order; aggregate() sets the others by its own
+ * rules.
+ */
+struct AggField
+{
+    const char *name;
+    Getter<CellResult> column;
+    std::uint64_t SweepAggregate::*count;
+    double SweepAggregate::*real = nullptr;
+};
+
+using Agg = SweepAggregate;
+
+constexpr AggField kAggregate[] = {
+    {"cells", nullptr, &Agg::cells},
+    {"planned", csvColumn("planned"), &Agg::planned},
+    {"acked", csvColumn("acked"), &Agg::acked},
+    {"naked", csvColumn("naked"), &Agg::naked},
+    {"broadcast", csvColumn("broadcast"), &Agg::broadcasts},
+    {"interrupted", csvColumn("interrupted"), &Agg::interrupted},
+    {"rx_abort", csvColumn("rx_abort"), &Agg::rxAborts},
+    {"failed", csvColumn("failed"), &Agg::failed},
+    {"mismatches", csvColumn("mismatches"), &Agg::mismatches},
+    {"wedged_cells", csvColumn("wedged"), &Agg::wedgedCells},
+    {"bytes_delivered", csvColumn("bytes_delivered"), &Agg::bytesDelivered},
+    {"events", csvColumn("events"), &Agg::events},
+    {"train_edges", csvColumn("train_edges"), &Agg::trainEdges},
+    {"dispatch_calls", csvColumn("dispatch_calls"), &Agg::dispatchCalls},
+    {"switching_j", csvColumn("switching_j"), nullptr, &Agg::switchingJ},
+    {"leakage_j", csvColumn("leakage_j"), nullptr, &Agg::leakageJ},
+    {"mean_goodput_bps", nullptr, nullptr, &Agg::meanGoodputBps},
+    {"min_goodput_bps", nullptr, nullptr, &Agg::minGoodputBps},
+    {"max_goodput_bps", nullptr, nullptr, &Agg::maxGoodputBps},
+    {"mean_events_per_bit", nullptr, nullptr, &Agg::meanEventsPerBit},
+    {"lat_p50_s", nullptr, nullptr, &Agg::latencyP50S},
+    {"lat_p95_s", nullptr, nullptr, &Agg::latencyP95S},
+    {"lat_p99_s", nullptr, nullptr, &Agg::latencyP99S},
+    {"samples_planned", csvColumn("samples_planned"), &Agg::samplesPlanned},
+    {"samples_delivered", csvColumn("samples_delivered"),
+     &Agg::samplesDelivered},
+    {"missed_deadlines", csvColumn("missed_deadlines"), &Agg::missedDeadlines},
+    {"faults", csvColumn("faults"), &Agg::faultsInjected},
+    {"retimings", csvColumn("retimings"), &Agg::retimings},
+    {"fault_events", csvColumn("fault_events"), &Agg::faultEvents},
+    {"bus_resets", csvColumn("bus_resets"), &Agg::busResets},
+    {"tx_resets", csvColumn("tx_resets"), &Agg::txResets},
+    {"retries_used", csvColumn("retries_used"), &Agg::retriesUsed},
+    {"recovered_tx", csvColumn("recovered_tx"), &Agg::recoveredTx},
+    {"abandoned_tx", csvColumn("abandoned_tx"), &Agg::abandonedTx},
+    {"trace_events", csvColumn("trace_events"), &Agg::traceEvents},
+    {"flight_dumps", csvColumn("flight_dumps"), &Agg::flightDumps},
+    {"heap_callbacks", csvColumn("heap_callbacks"), &Agg::heapCallbacks},
+    {"slab_live_peak_max", nullptr, &Agg::liveHighWaterMax},
+};
+
 } // namespace
 
 // --- SweepResult -----------------------------------------------------
@@ -60,44 +432,25 @@ SweepResult::aggregate() const
     std::uint64_t goodputCells = 0;
     std::vector<double> latencies;
     for (const CellResult &c : cells_) {
+        for (const AggField &f : kAggregate) {
+            if (!f.column)
+                continue;
+            Value v = f.column(c);
+            if (f.count)
+                a.*f.count += v.u;
+            else
+                a.*f.real += v.d;
+        }
+        // The rules a sum cannot express: pooled latencies, the
+        // index-wise per-node sum, the occupancy peak, goodput over
+        // the cells that moved data.
         const ScenarioStats &s = c.stats;
-        a.planned += static_cast<std::uint64_t>(s.planned);
-        a.acked += static_cast<std::uint64_t>(s.acked);
-        a.naked += static_cast<std::uint64_t>(s.naked);
-        a.broadcasts += static_cast<std::uint64_t>(s.broadcasts);
-        a.interrupted += static_cast<std::uint64_t>(s.interrupted);
-        a.rxAborts += static_cast<std::uint64_t>(s.rxAborts);
-        a.failed += static_cast<std::uint64_t>(s.failed);
-        a.mismatches += s.payloadMismatches;
-        a.wedgedCells += s.wedged ? 1 : 0;
-        a.bytesDelivered += s.bytesDelivered;
-        a.events += s.eventsExecuted;
-        a.trainEdges += s.trainEdges;
-        a.dispatchCalls += s.dispatchCalls;
-        a.switchingJ += s.switchingJ;
-        a.leakageJ += s.leakageJ;
         latencies.insert(latencies.end(), s.txLatenciesS.begin(),
                          s.txLatenciesS.end());
         if (s.perNodeEdges.size() > a.perNodeEdges.size())
             a.perNodeEdges.resize(s.perNodeEdges.size(), 0);
         for (std::size_t i = 0; i < s.perNodeEdges.size(); ++i)
             a.perNodeEdges[i] += s.perNodeEdges[i];
-        a.samplesPlanned += static_cast<std::uint64_t>(s.samplesPlanned);
-        a.samplesDelivered +=
-            static_cast<std::uint64_t>(s.samplesDelivered);
-        a.missedDeadlines +=
-            static_cast<std::uint64_t>(s.missedDeadlines);
-        a.faultsInjected += static_cast<std::uint64_t>(s.faultsInjected);
-        a.retimings += static_cast<std::uint64_t>(s.retimings);
-        a.faultEvents += static_cast<std::uint64_t>(s.faultEvents);
-        a.busResets += s.busResets;
-        a.txResets += static_cast<std::uint64_t>(s.txResets);
-        a.retriesUsed += s.retries;
-        a.recoveredTx += static_cast<std::uint64_t>(s.recoveredTx);
-        a.abandonedTx += static_cast<std::uint64_t>(s.abandonedTx);
-        a.traceEvents += s.traceEvents;
-        a.flightDumps += s.flightDumps.size();
-        a.heapCallbacks += s.heapCallbacks;
         a.liveHighWaterMax =
             std::max(a.liveHighWaterMax, s.liveHighWater);
         if (s.goodputBps > 0) {
@@ -123,308 +476,69 @@ SweepResult::aggregate() const
     return a;
 }
 
-namespace {
-
-/** Per-node breakdown as a pipe-packed CSV/JSON-safe scalar field
- *  ("1024|988|1002"): one value per ring position. */
-std::string
-packPerNode(const std::vector<std::uint64_t> &edges)
-{
-    std::string out;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        if (i)
-            out += '|';
-        out += std::to_string(edges[i]);
-    }
-    return out;
-}
-
-/** Pipe-packed per-actor field ("v0|v1|v2"): one entry per actor of
- *  the cell's workload, formatted by @p f. Empty for classic cells. */
-template <typename F>
-std::string
-packActors(const std::vector<workload::ActorStats> &actors, F f)
-{
-    std::string out;
-    for (std::size_t i = 0; i < actors.size(); ++i) {
-        if (i)
-            out += '|';
-        out += f(actors[i]);
-    }
-    return out;
-}
-
-/** The cell's metrics snapshot as one pipe-packed "name=value"
- *  column ("events_executed=420|goodput_bps=1.5e3"); empty for
- *  untraced cells. Names and values are registry-formatted, so the
- *  field is CSV/JSON-safe without further quoting. */
-std::string
-packMetrics(const std::vector<trace::MetricSample> &ms)
-{
-    std::string out;
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-        if (i)
-            out += '|';
-        out += ms[i].name;
-        out += '=';
-        out += ms[i].value;
-    }
-    return out;
-}
-
-} // namespace
-
 void
 SweepResult::writeCsv(std::ostream &os, bool includeWallTime) const
 {
-    os << "index,name,nodes,clock_hz,hop_delay_ns,wire_length_mm,"
-          "wire_cap_f_per_mm,payload_bytes,messages,lanes,"
-          "traffic,gated,full_addr,priority_rate,interject_rate,"
-          "time_limit_ps,edge_trains,backend,fault_spec,max_retries,"
-          "seed,"
-          "planned,acked,naked,broadcast,interrupted,rx_abort,failed,"
-          "mismatches,wedged,bytes_delivered,tx_per_s,goodput_bps,events,"
-          "events_per_bit,train_edges,dispatch_calls,clock_cycles,"
-          "arb_retries,"
-          "switching_j,"
-          "leakage_j,energy_per_sample_j,lifetime_days,"
-          "avg_tx_latency_s,first_tx_latency_s,"
-          "lat_p50_s,lat_p95_s,lat_p99_s,"
-          "avg_cycles_per_tx,sim_time_ps,per_node_edges,"
-          "vcd_bytes,vcd_hash,"
-          "workload,samples_planned,samples_delivered,"
-          "missed_deadlines,storm_interjections,gate_windows,faults,"
-          "faults_recovered,retimings,"
-          "fault_events,bus_resets,tx_resets,retries_used,"
-          "recovered_tx,abandoned_tx,recovery_p50_s,recovery_p95_s,"
-          "recovery_p99_s,outcome_counts,actor_names,actor_samples,"
-          "actor_missed,actor_lat_p50_s,actor_lat_p95_s,"
-          "actor_lat_p99_s,actor_energy_per_sample_j,"
-          "actor_duty_cycle,"
-          "slab_slots,slab_live_peak,heap_callbacks,"
-          "trace_events,trace_bytes,trace_hash,flight_dumps,metrics";
+    std::string line;
+    for (const Column<CellResult> &col : kCsv) {
+        line += col.name;
+        line += ',';
+    }
+    line.back() = '\n';
     if (includeWallTime)
-        os << ",wall_s";
-    os << "\n";
+        line.insert(line.size() - 1, ",wall_s");
+    os << line;
     for (const CellResult &c : cells_) {
-        const ScenarioSpec &p = c.spec;
-        const ScenarioStats &s = c.stats;
-        os << c.index << ',' << sanitizeName(p.name) << ','
-           << p.nodes << ','
-           << fmt(p.busClockHz) << ',' << fmt(p.hopDelayNs) << ','
-           << fmt(p.wireLengthMm) << ',' << fmt(p.wireCapFPerMm)
-           << ',' << p.payloadBytes << ','
-           << p.messages << ',' << p.dataLanes << ','
-           << trafficPatternName(p.traffic) << ','
-           << (p.powerGated ? 1 : 0) << ','
-           << (p.fullAddressing ? 1 : 0) << ','
-           << fmt(p.priorityRate) << ',' << fmt(p.interjectRate) << ','
-           << p.timeLimit << ',' << (p.edgeTrains ? 1 : 0) << ','
-           << backend::backendKindName(p.backend) << ','
-           << (p.faults.enabled()
-                   ? (p.faults.name.empty() ? std::string("on")
-                                            : sanitizeName(p.faults.name))
-                   : std::string("-"))
-           << ',' << p.retry.maxRetries << ','
-           << c.seed << ',' << s.planned << ',' << s.acked << ','
-           << s.naked << ',' << s.broadcasts << ',' << s.interrupted
-           << ',' << s.rxAborts << ',' << s.failed << ','
-           << s.payloadMismatches << ',' << (s.wedged ? 1 : 0) << ','
-           << s.bytesDelivered << ',' << fmt(s.txPerSecond) << ','
-           << fmt(s.goodputBps) << ','
-           << s.eventsExecuted << ',' << fmt(s.eventsPerBit) << ','
-           << s.trainEdges << ',' << s.dispatchCalls << ','
-           << s.clockCycles << ',' << s.arbitrationRetries << ','
-           << fmt(s.switchingJ) << ',' << fmt(s.leakageJ) << ','
-           << fmt(s.energyPerSampleJ) << ',' << fmt(s.lifetimeDays)
-           << ','
-           << fmt(s.avgTxLatencyS) << ',' << fmt(s.firstTxLatencyS)
-           << ',' << fmt(s.latencyP50S) << ',' << fmt(s.latencyP95S)
-           << ',' << fmt(s.latencyP99S)
-           << ',' << fmt(s.avgCyclesPerTx) << ',' << s.simTime << ','
-           << packPerNode(s.perNodeEdges) << ','
-           << s.vcdBytes << ',' << s.vcdHash << ','
-           << (p.workload.enabled() ? sanitizeName(p.workload.name)
-                                    : std::string("-"))
-           << ',' << s.samplesPlanned << ',' << s.samplesDelivered
-           << ',' << s.missedDeadlines << ',' << s.stormInterjections
-           << ',' << s.gateWindows << ',' << s.faultsInjected << ','
-           << s.faultsRecovered << ',' << s.retimings << ','
-           << s.faultEvents << ',' << s.busResets << ','
-           << s.txResets << ',' << s.retries << ','
-           << s.recoveredTx << ',' << s.abandonedTx << ','
-           << fmt(s.recoveryP50S) << ',' << fmt(s.recoveryP95S) << ','
-           << fmt(s.recoveryP99S) << ','
-           // ok|interrupted|overflow|reset: the pipe-packed
-           // delivery/abort outcome census.
-           << s.deliveredOk << '|' << s.deliveredInterrupted << '|'
-           << s.deliveredOverflow << '|' << s.txResets << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             // Per-name sanitizing: '|' is this
-                             // field's separator, so strip it too.
-                             std::string n = sanitizeName(a.name);
-                             for (char &ch : n)
-                                 if (ch == '|')
-                                     ch = '_';
-                             return n;
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return std::to_string(a.samplesDelivered);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return std::to_string(a.missedDeadlines);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.latencyP50S);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.latencyP95S);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.latencyP99S);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.energyPerSampleJ);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.dutyCycle);
-                         })
-           << ',' << s.slabSlots << ',' << s.liveHighWater << ','
-           << s.heapCallbacks << ',' << s.traceEvents << ','
-           << s.traceJson.size() << ',' << s.traceHash << ','
-           << s.flightDumps.size() << ',' << packMetrics(s.metrics);
-        if (includeWallTime)
-            os << ',' << fmt(c.wallSeconds);
-        os << "\n";
+        line.clear();
+        for (const Column<CellResult> &col : kCsv) {
+            append(line, col.get(c), /*json=*/false);
+            line += ',';
+        }
+        line.pop_back();
+        if (includeWallTime) {
+            line += ',';
+            sim::appendDouble(line, c.wallSeconds);
+        }
+        line += '\n';
+        os << line;
     }
 }
 
 void
 SweepResult::writeJson(std::ostream &os, bool includeWallTime) const
 {
+    std::string out =
+        "{\n  \"master_seed\": " + std::to_string(cfg_.masterSeed) +
+        ",\n  \"aggregate\": {";
     SweepAggregate a = aggregate();
-    os << "{\n  \"master_seed\": " << cfg_.masterSeed
-       << ",\n  \"aggregate\": {"
-       << "\"cells\": " << a.cells << ", \"planned\": " << a.planned
-       << ", \"acked\": " << a.acked << ", \"naked\": " << a.naked
-       << ", \"broadcast\": " << a.broadcasts
-       << ", \"interrupted\": " << a.interrupted
-       << ", \"rx_abort\": " << a.rxAborts
-       << ", \"failed\": " << a.failed
-       << ", \"mismatches\": " << a.mismatches
-       << ", \"wedged_cells\": " << a.wedgedCells
-       << ", \"bytes_delivered\": " << a.bytesDelivered
-       << ", \"events\": " << a.events
-       << ", \"train_edges\": " << a.trainEdges
-       << ", \"dispatch_calls\": " << a.dispatchCalls
-       << ", \"switching_j\": " << fmt(a.switchingJ)
-       << ", \"leakage_j\": " << fmt(a.leakageJ)
-       << ", \"mean_goodput_bps\": " << fmt(a.meanGoodputBps)
-       << ", \"min_goodput_bps\": " << fmt(a.minGoodputBps)
-       << ", \"max_goodput_bps\": " << fmt(a.maxGoodputBps)
-       << ", \"mean_events_per_bit\": " << fmt(a.meanEventsPerBit)
-       << ", \"lat_p50_s\": " << fmt(a.latencyP50S)
-       << ", \"lat_p95_s\": " << fmt(a.latencyP95S)
-       << ", \"lat_p99_s\": " << fmt(a.latencyP99S)
-       << ", \"samples_planned\": " << a.samplesPlanned
-       << ", \"samples_delivered\": " << a.samplesDelivered
-       << ", \"missed_deadlines\": " << a.missedDeadlines
-       << ", \"faults\": " << a.faultsInjected
-       << ", \"retimings\": " << a.retimings
-       << ", \"fault_events\": " << a.faultEvents
-       << ", \"bus_resets\": " << a.busResets
-       << ", \"tx_resets\": " << a.txResets
-       << ", \"retries_used\": " << a.retriesUsed
-       << ", \"recovered_tx\": " << a.recoveredTx
-       << ", \"abandoned_tx\": " << a.abandonedTx
-       << ", \"trace_events\": " << a.traceEvents
-       << ", \"flight_dumps\": " << a.flightDumps
-       << ", \"heap_callbacks\": " << a.heapCallbacks
-       << ", \"slab_live_peak_max\": " << a.liveHighWaterMax
-       << ", \"per_node_edges\": \"" << packPerNode(a.perNodeEdges)
-       << "\"},\n  \"cells\": [\n";
+    for (const AggField &f : kAggregate)
+        member(out, f.name, f.count ? Value(a.*f.count) : Value(a.*f.real));
+    member(out, "per_node_edges", packEdges(a.perNodeEdges));
+    out += "},\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const CellResult &c = cells_[i];
-        const ScenarioStats &s = c.stats;
-        os << "    {\"index\": " << c.index << ", \"name\": \""
-           << sanitizeName(c.spec.name) << "\", \"backend\": \""
-           << backend::backendKindName(c.spec.backend)
-           << "\", \"seed\": " << c.seed
-           << ", \"acked\": " << s.acked
-           << ", \"energy_per_sample_j\": " << fmt(s.energyPerSampleJ)
-           << ", \"lifetime_days\": " << fmt(s.lifetimeDays)
-           << ", \"goodput_bps\": " << fmt(s.goodputBps)
-           << ", \"events_per_bit\": " << fmt(s.eventsPerBit)
-           << ", \"train_edges\": " << s.trainEdges
-           << ", \"dispatch_calls\": " << s.dispatchCalls
-           << ", \"lat_p50_s\": " << fmt(s.latencyP50S)
-           << ", \"lat_p95_s\": " << fmt(s.latencyP95S)
-           << ", \"lat_p99_s\": " << fmt(s.latencyP99S)
-           << ", \"per_node_edges\": \"" << packPerNode(s.perNodeEdges)
-           << "\", \"switching_j\": " << fmt(s.switchingJ)
-           << ", \"wedged\": " << (s.wedged ? "true" : "false")
-           << ", \"fault_events\": " << s.faultEvents
-           << ", \"bus_resets\": " << s.busResets
-           << ", \"tx_resets\": " << s.txResets
-           << ", \"retries_used\": " << s.retries
-           << ", \"recovered_tx\": " << s.recoveredTx
-           << ", \"abandoned_tx\": " << s.abandonedTx
-           << ", \"outcome_counts\": \"" << s.deliveredOk << '|'
-           << s.deliveredInterrupted << '|' << s.deliveredOverflow
-           << '|' << s.txResets << "\""
-           << ", \"slab_live_peak\": " << s.liveHighWater
-           << ", \"trace_events\": " << s.traceEvents
-           << ", \"trace_bytes\": " << s.traceJson.size()
-           << ", \"trace_hash\": " << s.traceHash
-           << ", \"flight_dumps\": " << s.flightDumps.size()
-           << ", \"metrics\": \"" << packMetrics(s.metrics) << "\"";
-        if (!s.actorStats.empty()) {
-            os << ", \"workload\": \""
-               << sanitizeName(c.spec.workload.name)
-               << "\", \"samples_planned\": " << s.samplesPlanned
-               << ", \"samples_delivered\": " << s.samplesDelivered
-               << ", \"missed_deadlines\": " << s.missedDeadlines
-               << ", \"faults\": " << s.faultsInjected
-               << ", \"retimings\": " << s.retimings
-               << ", \"actors\": [";
-            for (std::size_t k = 0; k < s.actorStats.size(); ++k) {
-                const workload::ActorStats &act = s.actorStats[k];
-                os << (k ? ", " : "") << "{\"name\": \""
-                   << sanitizeName(act.name) << "\", \"kind\": \""
-                   << workload::actorKindName(act.kind)
-                   << "\", \"node\": " << act.node
-                   << ", \"samples\": " << act.samplesDelivered
-                   << ", \"missed\": " << act.missedDeadlines
-                   << ", \"lat_p50_s\": " << fmt(act.latencyP50S)
-                   << ", \"lat_p95_s\": " << fmt(act.latencyP95S)
-                   << ", \"lat_p99_s\": " << fmt(act.latencyP99S)
-                   << ", \"energy_per_sample_j\": "
-                   << fmt(act.energyPerSampleJ)
-                   << ", \"duty_cycle\": " << fmt(act.dutyCycle)
-                   << "}";
+        out += "    {";
+        for (const Column<CellResult> &col : kJsonCell)
+            member(out, col.name, col.get(c));
+        if (!c.stats.actorStats.empty()) {
+            for (const Column<CellResult> &col : kJsonWorkload)
+                member(out, col.name, col.get(c));
+            out += ", \"actors\": [";
+            for (const workload::ActorStats &act : c.stats.actorStats) {
+                out += out.back() == '[' ? "{" : ", {";
+                for (const auto &col : kActorColumns)
+                    member(out, col.name, col.get(act));
+                out += '}';
             }
-            os << "]";
+            out += ']';
         }
         if (includeWallTime)
-            os << ", \"wall_s\": " << fmt(c.wallSeconds);
-        os << "}" << (i + 1 < cells_.size() ? "," : "") << "\n";
+            member(out, "wall_s", c.wallSeconds);
+        out += i + 1 < cells_.size() ? "},\n" : "}\n";
+        os << out;
+        out.clear();
     }
-    os << "  ]\n}\n";
+    os << out << "  ]\n}\n";
 }
 
 bool

@@ -53,17 +53,23 @@ MetricsRegistry::histogram(const std::string &name,
 }
 
 std::string
-MetricsRegistry::packed() const
+packSamples(const std::vector<MetricSample> &samples)
 {
     std::string out;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
+    for (std::size_t i = 0; i < samples.size(); ++i) {
         if (i)
             out += '|';
-        out += samples_[i].name;
+        out += samples[i].name;
         out += '=';
-        out += samples_[i].value;
+        out += samples[i].value;
     }
     return out;
+}
+
+std::string
+MetricsRegistry::packed() const
+{
+    return packSamples(samples_);
 }
 
 std::string

@@ -36,6 +36,9 @@ struct MetricSample
     std::string value; ///< Byte-stable formatted value.
 };
 
+/** Pipe-packed scalar field for one CSV cell: "k=v|k=v|...". */
+std::string packSamples(const std::vector<MetricSample> &samples);
+
 /** Ordered named counters/gauges/histogram summaries; see file doc. */
 class MetricsRegistry
 {
@@ -58,7 +61,7 @@ class MetricsRegistry
     /** The snapshot, in registration order. */
     const std::vector<MetricSample> &samples() const { return samples_; }
 
-    /** Pipe-packed scalar field for one CSV cell: "k=v|k=v|...". */
+    /** packSamples() of the snapshot. */
     std::string packed() const;
 
     /** One flat JSON object: {"k": v, ...}. Values are numbers. */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -121,6 +122,20 @@ tinyGrid(std::size_t cells)
     return grid;
 }
 
+/** @p bytes with its '|'-separated token @p index replaced. */
+std::string
+withToken(const std::string &bytes, std::size_t index,
+          const std::string &token)
+{
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < index; ++i)
+        start = bytes.find('|', start) + 1;
+    std::size_t end = bytes.find('|', start);
+    if (end == std::string::npos)
+        end = bytes.size();
+    return bytes.substr(0, start) + token + bytes.substr(end);
+}
+
 std::string
 csvOf(const sweep::SweepResult &r)
 {
@@ -141,8 +156,14 @@ TEST(FleetCodec, EscapeTokenRoundTrips)
     EXPECT_EQ(tok.find('|'), std::string::npos);
     EXPECT_EQ(tok.find('\n'), std::string::npos);
     EXPECT_EQ(tok.find(' '), std::string::npos);
-    EXPECT_EQ(sweep::unescapeToken(tok), raw);
-    EXPECT_EQ(sweep::unescapeToken(sweep::escapeToken("")), "");
+    std::string back;
+    ASSERT_TRUE(sweep::unescapeToken(tok, back));
+    EXPECT_EQ(back, raw);
+    ASSERT_TRUE(sweep::unescapeToken(sweep::escapeToken(""), back));
+    EXPECT_EQ(back, "");
+    // Only escapeToken()'s own output decodes.
+    for (const char *bad : {"a b", "%2", "%2c", "%41", "a|b", "%ZZ"})
+        EXPECT_FALSE(sweep::unescapeToken(bad, back)) << bad;
 }
 
 TEST(FleetCodec, SpecRoundTripsEveryField)
@@ -187,6 +208,41 @@ TEST(FleetCodec, SpecRejectsMalformedInput)
         sweep::decodeSpec(good.substr(0, good.size() / 2), out));
     EXPECT_FALSE(sweep::decodeSpec(good + "|trailing", out));
     EXPECT_TRUE(sweep::decodeSpec(good, out));
+
+    // Out-of-range enums and integers that overflow their field are
+    // rejected, never wrapped: a wrapped backend would reach
+    // makeBackend's fatal error inside a fleet worker.
+    const std::size_t kNodes = 2, kGated = 8, kTraffic = 10,
+                      kPayload = 12, kBackend = 20;
+    const std::size_t kFlightDepth =
+        static_cast<std::size_t>(std::count(good.begin(), good.end(), '|'));
+    EXPECT_TRUE(sweep::decodeSpec(withToken(good, kBackend, "4"), out));
+    EXPECT_EQ(out.backend, backend::BackendKind::Firmware);
+    for (const char *bad : {"5", "99"})
+        EXPECT_FALSE(sweep::decodeSpec(withToken(good, kBackend, bad), out))
+            << "backend " << bad;
+    for (const char *bad : {"4", "7"})
+        EXPECT_FALSE(sweep::decodeSpec(withToken(good, kTraffic, bad), out))
+            << "traffic " << bad;
+    for (const char *bad : {"99999999999999999999999", "4294967299",
+                            "2147483648", "-2147483649"})
+        EXPECT_FALSE(sweep::decodeSpec(withToken(good, kNodes, bad), out))
+            << "nodes " << bad;
+    EXPECT_FALSE(sweep::decodeSpec(
+        withToken(good, kPayload, "18446744073709551616"), out));
+    EXPECT_FALSE(
+        sweep::decodeSpec(withToken(good, kFlightDepth, "4294967296"), out));
+    EXPECT_FALSE(sweep::decodeSpec(withToken(good, kGated, "2"), out));
+
+    sweep::ScenarioSpec faulty;
+    fault::FaultEntry fe;
+    faulty.faults.entries.push_back(fe);
+    std::string faultBytes = sweep::encodeSpec(faulty);
+    std::string kindToken = "|1|64|1|0|"; // watchdog, epochs, count, kind
+    std::size_t at = faultBytes.find(kindToken);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_FALSE(sweep::decodeSpec(
+        faultBytes.replace(at, kindToken.size(), "|1|64|1|6|"), out));
 }
 
 TEST(FleetCodec, StatsRoundTripExactlyIncludingDoubles)
@@ -242,6 +298,71 @@ TEST(FleetCodec, StatsRoundTripExactlyIncludingDoubles)
     sweep::ScenarioStats junk;
     EXPECT_FALSE(sweep::decodeStats("stat1|broken", junk));
     EXPECT_FALSE(sweep::decodeStats("", junk));
+
+    // An actor kind past the last enumerator is malformed.
+    std::string kindToken = "|imager%7C2|3|";
+    std::size_t at = bytes.find(kindToken);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_FALSE(sweep::decodeStats(
+        bytes.replace(at, kindToken.size(), "|imager%7C2|4|"), junk));
+}
+
+TEST(FleetCodec, DecodersRejectOrRoundTripDamagedInput)
+{
+    // A real traced, faulty workload cell's stats truncated at every
+    // token boundary, and a small spec with every byte replaced by
+    // every other value: decoding either fails or reproduces the
+    // input byte for byte. It never crashes (the sanitizer job runs
+    // this).
+    sweep::ScenarioSpec s;
+    s.name = "damaged";
+    s.workload.durationS = 0.03;
+    workload::ActorSpec sensor;
+    sensor.periodS = 0.01;
+    s.workload.actors.push_back(sensor);
+    fault::FaultEntry fe;
+    fe.kind = fault::FaultKind::GlitchBurst;
+    fe.endS = 1e-3;
+    s.faults.entries.push_back(fe);
+    s.trace.protocol = true;
+    s.trace.flight = true;
+    std::string stats = sweep::encodeStats(sweep::runScenario(s, 7));
+    sweep::ScenarioStats st;
+    ASSERT_TRUE(sweep::decodeStats(stats, st));
+    ASSERT_FALSE(st.actorStats.empty());
+    ASSERT_FALSE(st.traceJson.empty());
+    auto statsOk = [](const std::string &bytes) {
+        sweep::ScenarioStats back;
+        return !sweep::decodeStats(bytes, back) ||
+               sweep::encodeStats(back) == bytes;
+    };
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        if (stats[i] != '|')
+            continue;
+        ASSERT_TRUE(statsOk(stats.substr(0, i))) << "cut at " << i;
+        ASSERT_TRUE(statsOk(stats.substr(0, i + 1))) << "cut at " << i;
+    }
+
+    sweep::ScenarioSpec small;
+    small.name = "n,1";
+    small.retry.maxRetries = 1;
+    const std::string spec = sweep::encodeSpec(small);
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        for (int b = 0; b < 256; ++b) {
+            if (static_cast<char>(b) == spec[i])
+                continue;
+            std::string damaged = spec;
+            damaged[i] = static_cast<char>(b);
+            sweep::ScenarioSpec back;
+            if (!sweep::decodeSpec(damaged, back))
+                continue;
+            ++accepted;
+            ASSERT_EQ(sweep::encodeSpec(back), damaged)
+                << "byte " << i << " := " << b;
+        }
+    }
+    EXPECT_GT(accepted, 0u); // Some flips are legitimate edits.
 }
 
 TEST(FleetProtocol, MsgRoundTripAndRejection)

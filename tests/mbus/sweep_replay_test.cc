@@ -19,6 +19,7 @@
 
 #include "sim/random.hh"
 #include "sweep/sweep.hh"
+#include "tests/sweep/stats_identity.hh"
 
 using namespace mbus;
 
@@ -49,40 +50,6 @@ randomGrid(std::uint64_t seed, std::size_t cells, bool captureVcd)
     return grid;
 }
 
-/** Field-by-field equality over every deterministic stat. */
-void
-expectIdenticalStats(const sweep::ScenarioStats &a,
-                     const sweep::ScenarioStats &b)
-{
-    EXPECT_EQ(a.planned, b.planned);
-    EXPECT_EQ(a.acked, b.acked);
-    EXPECT_EQ(a.naked, b.naked);
-    EXPECT_EQ(a.broadcasts, b.broadcasts);
-    EXPECT_EQ(a.interrupted, b.interrupted);
-    EXPECT_EQ(a.rxAborts, b.rxAborts);
-    EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.bytesDelivered, b.bytesDelivered);
-    EXPECT_EQ(a.payloadMismatches, b.payloadMismatches);
-    EXPECT_EQ(a.wedged, b.wedged);
-    // Doubles must be bit-identical, not just close: each cell is a
-    // single-threaded computation of fixed order.
-    EXPECT_EQ(a.txPerSecond, b.txPerSecond);
-    EXPECT_EQ(a.goodputBps, b.goodputBps);
-    EXPECT_EQ(a.eventsPerBit, b.eventsPerBit);
-    EXPECT_EQ(a.switchingJ, b.switchingJ);
-    EXPECT_EQ(a.leakageJ, b.leakageJ);
-    EXPECT_EQ(a.avgTxLatencyS, b.avgTxLatencyS);
-    EXPECT_EQ(a.firstTxLatencyS, b.firstTxLatencyS);
-    EXPECT_EQ(a.avgCyclesPerTx, b.avgCyclesPerTx);
-    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-    EXPECT_EQ(a.clockCycles, b.clockCycles);
-    EXPECT_EQ(a.arbitrationRetries, b.arbitrationRetries);
-    EXPECT_EQ(a.simTime, b.simTime);
-    EXPECT_EQ(a.vcdBytes, b.vcdBytes);
-    EXPECT_EQ(a.vcdHash, b.vcdHash);
-    EXPECT_EQ(a.vcd, b.vcd) << "VCD waveform bytes diverged";
-}
-
 } // namespace
 
 TEST(SweepReplay, RandomCellsReplaySoloWithIdenticalWaveforms)
@@ -103,7 +70,7 @@ TEST(SweepReplay, RandomCellsReplaySoloWithIdenticalWaveforms)
         sweep::CellResult solo = driver.runCell(grid[i], i);
         EXPECT_EQ(solo.seed, sharded.cell(i).seed);
         ASSERT_GT(solo.stats.vcdBytes, 0u);
-        expectIdenticalStats(sharded.cell(i).stats, solo.stats);
+        test::expectIdenticalStats(sharded.cell(i).stats, solo.stats);
     }
 }
 
