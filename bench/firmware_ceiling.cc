@@ -27,8 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
 #include "bench/bench_util.hh"
+#include "firmware/firmware_node.hh"
 #include "sim/simulator.hh"
 
 using namespace mbus;
@@ -56,8 +57,9 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
     p.fwIsrJitterCycles = jitterCycles;
     p.fwMergeMissedEdges = true;
     p.allowUnsafeClock = true;
-    backend::BitbangBackend ring(
-        simulator, p, backend::BitbangBackend::SoftFlavor::Firmware);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Firmware);
+    const std::size_t soft = ring.nodeCount() - 1;
 
     Cell cell;
     cell.jitterCycles = jitterCycles;
@@ -69,10 +71,10 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
         bus::Message msg;
         msg.dest = fromSoft
                        ? ring.unicastAddress(0, false, 7)
-                       : ring.unicastAddress(ring.softIndex(), false, 0);
+                       : ring.unicastAddress(soft, false, 0);
         msg.payload = {static_cast<std::uint8_t>(i), 0x5A, 0xC3};
         std::optional<bus::TxResult> result;
-        ring.send(fromSoft ? ring.softIndex() : 0, msg,
+        ring.send(fromSoft ? soft : 0, msg,
                   [&](const bus::TxResult &r) { result = r; });
         simulator.runUntil([&] { return result.has_value(); },
                            sim::kSecond);
@@ -85,8 +87,10 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
             break; // Wedged past the envelope: remaining sends fail.
     }
     cell.failed = messages - cell.acked;
-    cell.localErrors = ring.firmwareNode().stats().localErrors;
-    cell.mergedEdges = ring.firmwareNode().stats().mergedEdges;
+    const firmware::FirmwareStats &fw =
+        ring.system().softMemberAs<firmware::FirmwareNode>().stats();
+    cell.localErrors = fw.localErrors;
+    cell.mergedEdges = fw.mergedEdges;
     return cell;
 }
 

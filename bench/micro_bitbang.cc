@@ -4,13 +4,18 @@
  * path accounting, the resulting maximum bus clock, the comparison
  * with Wikipedia's bitbang I2C, and a live mixed hardware/software
  * ring demonstration.
+ *
+ * Exits non-zero unless both demo transfers are ACKed and each side
+ * counts exactly one delivery.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.hh"
 #include "bitbang/bitbang_i2c.hh"
-#include "bitbang/mixed_ring.hh"
+#include "bitbang/bitbang_mbus.hh"
+#include "mbus/system.hh"
 
 using namespace mbus;
 using namespace mbus::bitbang;
@@ -50,14 +55,26 @@ main()
     sim::Simulator simulator;
     bus::SystemConfig cfg;
     cfg.busClockHz = 20e3;
+    bus::MBusSystem ring(simulator, cfg);
+    for (std::uint8_t i = 1; i <= 2; ++i) {
+        bus::NodeConfig nc;
+        nc.name = "hw" + std::to_string(i - 1);
+        nc.fullPrefix = 0x11111u * i;
+        nc.staticShortPrefix = i;
+        nc.powerGated = false;
+        ring.addNode(nc);
+    }
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
-    MixedRing ring(simulator, cfg, bb);
+    addBitbangMember(ring, "bb", bb);
+    ring.finalize();
+    BitbangMbus &soft = ring.softMemberAs<BitbangMbus>();
 
     int sw_rx = 0, hw_rx = 0;
-    ring.softNode().setReceiveCallback(
+    int acked = 0;
+    soft.setReceiveCallback(
         [&](const bus::ReceivedMessage &) { ++sw_rx; });
-    ring.hw1().layer().setMailboxHandler(
+    ring.node(1).layer().setMailboxHandler(
         [&](const bus::ReceivedMessage &) { ++hw_rx; });
 
     // hw0 -> software member.
@@ -65,9 +82,10 @@ main()
     to_sw.dest = bus::Address::shortAddr(3, 0);
     to_sw.payload = {0xBE, 0xEF};
     bool d1 = false;
-    ring.hw0().send(to_sw, [&](const bus::TxResult &r) {
+    ring.node(0).send(to_sw, [&](const bus::TxResult &r) {
         std::printf("hw0 -> bitbang: %s\n",
                     bus::txStatusName(r.status));
+        acked += r.status == bus::TxStatus::Ack;
         d1 = true;
     });
     simulator.runUntil([&] { return d1; }, sim::kSecond);
@@ -77,9 +95,10 @@ main()
     to_hw.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
     to_hw.payload = {0x42, 0x24, 0x99};
     bool d2 = false;
-    ring.softNode().send(to_hw, [&](const bus::TxResult &r) {
+    soft.send(to_hw, [&](const bus::TxResult &r) {
         std::printf("bitbang -> hw1: %s\n",
                     bus::txStatusName(r.status));
+        acked += r.status == bus::TxStatus::Ack;
         d2 = true;
     });
     simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
@@ -90,14 +109,21 @@ main()
     std::printf("software ISR stats: %llu invocations, %llu cycles, "
                 "max path %d cycles (model bound %d)\n",
                 static_cast<unsigned long long>(
-                    ring.softNode().stats().isrInvocations),
+                    soft.stats().isrInvocations),
                 static_cast<unsigned long long>(
-                    ring.softNode().stats().cyclesSpent),
-                ring.softNode().maxObservedPathCycles(),
+                    soft.stats().cyclesSpent),
+                soft.maxObservedPathCycles(),
                 cost.worstPathCycles());
     std::printf("\nShape: software members interoperate with "
                 "hardware MBus with zero tuning, at clocks bounded "
                 "by cpu_clock / worst_isr_path -- the Sec 6.6 "
                 "claim.\n");
+    if (acked != 2 || sw_rx != 1 || hw_rx != 1) {
+        std::fprintf(stderr,
+                     "FAIL: expected 2 ACKs and one delivery per "
+                     "side, got %d ACKs, %d/%d deliveries\n",
+                     acked, sw_rx, hw_rx);
+        return 1;
+    }
     return 0;
 }

@@ -7,8 +7,10 @@
  */
 
 #include <cstdio>
+#include <string>
 
-#include "bitbang/mixed_ring.hh"
+#include "bitbang/bitbang_mbus.hh"
+#include "mbus/system.hh"
 
 using namespace mbus;
 using namespace mbus::bitbang;
@@ -26,17 +28,31 @@ main()
     sim::Simulator simulator;
     bus::SystemConfig cfg;
     cfg.busClockHz = 20e3; // Well inside the software envelope.
+    bus::MBusSystem ring(simulator, cfg);
+    // Two hardware chips (hw0 hosts the mediator) ...
+    for (std::uint8_t i = 1; i <= 2; ++i) {
+        bus::NodeConfig nc;
+        nc.name = "hw" + std::to_string(i - 1);
+        nc.fullPrefix = 0x11111u * i;
+        nc.staticShortPrefix = i;
+        nc.powerGated = false;
+        ring.addNode(nc);
+    }
+    // ... and the software member, last on the ring. The system
+    // budgets its ISR latency into the ring round trip.
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
     bb.cost = cost;
-    MixedRing ring(simulator, cfg, bb);
+    addBitbangMember(ring, "bb", bb);
+    ring.finalize();
+    BitbangMbus &soft = ring.softMemberAs<BitbangMbus>();
 
-    ring.softNode().setReceiveCallback(
+    soft.setReceiveCallback(
         [](const bus::ReceivedMessage &rx) {
             std::printf("[bitbang] received %zu bytes via GPIO "
                         "ISRs\n", rx.payload.size());
         });
-    ring.hw1().layer().setMailboxHandler(
+    ring.node(1).layer().setMailboxHandler(
         [](const bus::ReceivedMessage &rx) {
             std::printf("[hw1] received %zu bytes from the software "
                         "member\n", rx.payload.size());
@@ -47,7 +63,7 @@ main()
     down.dest = bus::Address::shortAddr(3, 0);
     down.payload = {0x01, 0x02, 0x03, 0x04};
     bool d1 = false;
-    ring.hw0().send(down, [&](const bus::TxResult &r) {
+    ring.node(0).send(down, [&](const bus::TxResult &r) {
         std::printf("[hw0] -> bitbang: %s\n",
                     bus::txStatusName(r.status));
         d1 = true;
@@ -59,7 +75,7 @@ main()
     up.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
     up.payload = {0xAA, 0xBB};
     bool d2 = false;
-    ring.softNode().send(up, [&](const bus::TxResult &r) {
+    soft.send(up, [&](const bus::TxResult &r) {
         std::printf("[bitbang] -> hw1: %s\n",
                     bus::txStatusName(r.status));
         d2 = true;
@@ -67,13 +83,13 @@ main()
     simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
     simulator.run(simulator.now() + 100 * sim::kMillisecond);
 
-    auto &st = ring.softNode().stats();
+    auto &st = soft.stats();
     std::printf("\nCPU accounting: %llu ISRs, %llu cycles total "
                 "(%.1f ms at 8 MHz), max observed path %d cycles\n",
                 static_cast<unsigned long long>(st.isrInvocations),
                 static_cast<unsigned long long>(st.cyclesSpent),
                 st.cyclesSpent / cost.cpuHz * 1e3,
-                ring.softNode().maxObservedPathCycles());
+                soft.maxObservedPathCycles());
     std::printf("zero per-chip tuning was needed -- the "
                 "interoperability claim of Sec 6.5/6.6.\n");
     return 0;

@@ -10,20 +10,23 @@
  * wake), delivery and terminal-status callbacks, and the per-node
  * energy/latency taps the sweep and workload reducers consume.
  *
- * Four concrete fabrics implement it:
+ * Two concrete classes implement the five fabrics (BackendKind):
  *
- *  - MbusBackend wraps the simulated hardware MBus ring
- *    (MBusSystem). Its behaviour -- stats and VCD bytes -- is
- *    identical to driving the system directly, a property the
- *    backend determinism tests pin against pre-refactor captures.
- *  - I2cBackend promotes the analytic I2cModel (standard or oracle
- *    pull-up sizing) into a transactional event-kernel bus with
- *    START/STOP framing, addressing overhead, clock stretching for
- *    sleeping receivers, and pull-up energy charged per SCL cycle
- *    through the energy ledger.
- *  - BitbangBackend builds a mixed ring: hardware MBus nodes plus
- *    one four-GPIO software member whose ISR latency throttles the
- *    whole ring (Sec 6.6).
+ *  - MbusBackend wraps the simulated MBus ring (MBusSystem). On
+ *    `mbus` the ring is all hardware, and its behaviour -- stats and
+ *    VCD bytes -- is identical to driving the system directly, a
+ *    property the backend determinism tests pin against
+ *    pre-refactor captures. On `bitbang` and `firmware` the same
+ *    ring carries one four-GPIO software member in its last
+ *    position (the behavioral model or the ported libmbus
+ *    firmware), whose ISR latency throttles the whole ring
+ *    (Sec 6.6).
+ *  - I2cBackend (`i2c_std`, `i2c_oracle`) promotes the analytic
+ *    I2cModel (standard or oracle pull-up sizing) into a
+ *    transactional event-kernel bus with START/STOP framing,
+ *    addressing overhead, clock stretching for sleeping receivers,
+ *    and pull-up energy charged per SCL cycle through the energy
+ *    ledger.
  *
  * Determinism contract: a backend driven by a pre-drawn plan is a
  * pure function of (params, plan); all scheduling rides the owning

@@ -3,27 +3,41 @@
 #include <algorithm>
 #include <string>
 
+#include "bitbang/bitbang_mbus.hh"
+#include "firmware/firmware_node.hh"
 #include "mbus/layer_controller.hh"
+#include "power/constants.hh"
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
 namespace mbus {
 namespace backend {
 
-MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params)
-    : params_(params)
+MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params,
+                         BackendKind kind)
+    : kind_(kind)
 {
+    const bool mixedRing =
+        kind == BackendKind::Bitbang || kind == BackendKind::Firmware;
+    if (!mixedRing && kind != BackendKind::Mbus)
+        mbus_fatal("MbusBackend cannot build a ",
+                   backendKindName(kind), " fabric");
+    if (mixedRing && (params.nodes < 3 || params.nodes > 14))
+        mbus_fatal("bitbang backend needs 3..14 nodes, got ",
+                   params.nodes);
+
     bus::SystemConfig cfg;
     cfg.busClockHz = params.busClockHz;
     cfg.hopDelay =
         static_cast<sim::SimTime>(params.hopDelayNs * 1000.0 + 0.5);
-    cfg.dataLanes = params.dataLanes;
+    cfg.dataLanes = mixedRing ? 1 : params.dataLanes;
     cfg.wireCapF = params.wireCapF;
     cfg.edgeTrains = params.edgeTrains;
     cfg.chunkedDispatch = params.chunkedDispatch;
 
     system_ = std::make_unique<bus::MBusSystem>(sim, cfg);
-    for (int i = 0; i < params.nodes; ++i) {
+    const int chips = mixedRing ? params.nodes - 1 : params.nodes;
+    for (int i = 0; i < chips; ++i) {
         bus::NodeConfig nc;
         nc.name = "n" + std::to_string(i);
         nc.fullPrefix = 0x500u + static_cast<std::uint32_t>(i);
@@ -34,37 +48,81 @@ MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params)
         nc.broadcastChannels |= 1u << bus::kChannelUserBase;
         system_->addNode(nc);
     }
+    if (mixedRing) {
+        std::string name = "n" + std::to_string(chips);
+        auto prefix = static_cast<std::uint8_t>(params.nodes);
+        if (kind == BackendKind::Bitbang) {
+            bitbang::BitbangMbus::Config bb;
+            bb.shortPrefix = prefix;
+            bb.rxCapacityBytes = params.softRxCapacity;
+            bitbang::addBitbangMember(*system_, name, bb);
+        } else {
+            firmware::FirmwareNode::Config fw;
+            fw.shortPrefix = prefix;
+            fw.rxCapacityBytes = params.softRxCapacity;
+            fw.isrJitterCycles = params.fwIsrJitterCycles;
+            fw.mergeMissedEdges = params.fwMergeMissedEdges;
+            firmware::addFirmwareMember(*system_, name, fw);
+        }
+        system_->config().busClockHz =
+            std::min(params.busClockHz,
+                     clockHeadroom() * system_->maxSafeClockHz());
+    }
     system_->finalize();
+    // The ceiling probe deliberately overclocks the software member
+    // past its ISR envelope; everything else stays clamped safe.
+    if (mixedRing && params.allowUnsafeClock)
+        system_->config().busClockHz = params.busClockHz;
+}
+
+double
+MbusBackend::clockHeadroom() const
+{
+    // A mixed ring leaves room for back-to-back CLK/DATA ISRs
+    // serializing on the member's one CPU.
+    return mixed() ? 0.8 : 0.999;
 }
 
 void
 MbusBackend::send(std::size_t node, bus::Message msg,
                   bus::SendCallback cb)
 {
-    system_->node(node).send(std::move(msg), std::move(cb));
+    if (isSoft(node))
+        system_->softMember()->send(std::move(msg), std::move(cb));
+    else
+        system_->node(node).send(std::move(msg), std::move(cb));
 }
+
+// The software engines cannot raise a third-party interjection, and
+// the member's MCU polls its GPIOs and never gates: interject, sleep
+// and wake are hardware-only.
 
 void
 MbusBackend::interject(std::size_t node)
 {
-    system_->node(node).interject();
+    if (!isSoft(node))
+        system_->node(node).interject();
 }
 
 void
 MbusBackend::sleep(std::size_t node)
 {
-    system_->node(node).sleep();
+    if (!isSoft(node))
+        system_->node(node).sleep();
 }
 
 void
 MbusBackend::wake(std::size_t node)
 {
-    system_->node(node).wake();
+    if (!isSoft(node))
+        system_->node(node).wake();
 }
 
 std::size_t
 MbusBackend::pendingTx(std::size_t node) const
 {
+    if (isSoft(node))
+        return system_->softMember()->pendingTx();
     return system_->node(node).busController().pendingTx();
 }
 
@@ -73,20 +131,20 @@ MbusBackend::retime(std::size_t node, double clockHz,
                     std::function<void()> done)
 {
     double target =
-        std::min(clockHz, 0.999 * system_->maxSafeClockHz());
-    system_->node(node).send(
-        makeRetimeMessage(static_cast<std::uint32_t>(target)),
-        [done](const bus::TxResult &) {
-            if (done)
-                done();
-        });
+        std::min(clockHz, clockHeadroom() * system_->maxSafeClockHz());
+    send(node, makeRetimeMessage(static_cast<std::uint32_t>(target)),
+         [done](const bus::TxResult &) {
+             if (done)
+                 done();
+         });
 }
 
 bus::Address
 MbusBackend::unicastAddress(std::size_t node, bool fullAddressing,
                             std::uint8_t fuId) const
 {
-    if (fullAddressing)
+    // The software member decodes short addresses only.
+    if (fullAddressing && !isSoft(node))
         return system_->node(node).fullAddress(fuId);
     return bus::Address::shortAddr(
         static_cast<std::uint8_t>(node + 1), fuId);
@@ -113,6 +171,22 @@ MbusBackend::setDeliveryHandler(DeliveryHandler h)
                     h(i, rx);
             });
     }
+    bus::SoftMember *soft = system_->softMember();
+    if (!soft)
+        return;
+    bus::ReceiveCallback softCb;
+    if (h) {
+        std::size_t i = nodeCount() - 1;
+        softCb = [h, i](const bus::ReceivedMessage &rx) {
+            // The member sees every broadcast; filter system
+            // traffic as the chips' broadcast handlers do.
+            if (rx.dest.isBroadcast() &&
+                rx.dest.channel() < bus::kChannelUserBase)
+                return;
+            h(i, rx);
+        };
+    }
+    soft->setReceiveCallback(std::move(softCb));
 }
 
 bool
@@ -128,10 +202,19 @@ MbusBackend::attachTrace(sim::TraceRecorder &recorder)
 }
 
 double
+MbusBackend::softCpuEnergyJ() const
+{
+    return static_cast<double>(system_->softMember()->cyclesSpent()) *
+           power::kProcessorEnergyPerCycleJ;
+}
+
+double
 MbusBackend::switchingJ() const
 {
-    system_->flushDeferredEdges();
-    return system_->ledger().total();
+    double j = system_->ledger().total();
+    if (mixed())
+        j += softCpuEnergyJ();
+    return j;
 }
 
 double
@@ -143,13 +226,18 @@ MbusBackend::leakageJ() const
 double
 MbusBackend::nodeEnergyJ(std::size_t node) const
 {
-    system_->flushDeferredEdges();
-    return system_->ledger().nodeTotal(node);
+    double j = system_->ledger().nodeTotal(node);
+    if (isSoft(node))
+        j += softCpuEnergyJ();
+    return j;
 }
 
 double
 MbusBackend::poweredSeconds(std::size_t node) const
 {
+    sim::Simulator &sim = system_->simulator();
+    if (isSoft(node))
+        return sim::toSeconds(sim.now()); // Always-on MCU.
     return sim::toSeconds(
         system_->node(node).layerDomain().poweredTime());
 }
@@ -178,52 +266,63 @@ MbusBackend::dispatchCalls() const
 
 // --- Fault injection -------------------------------------------------
 
-wire::Net &
-MbusBackend::faultSegment(std::size_t node, int lane)
+int
+MbusBackend::faultSlot(int lane) const
 {
     if (lane <= 0)
-        return system_->clkSegment(node);
+        return 0;
     if (lane >= 2 && lane - 1 < system_->config().dataLanes)
-        return system_->laneSegment(lane - 1, node);
-    return system_->dataSegment(node);
+        return lane;
+    return 1;
+}
+
+wire::Net &
+MbusBackend::faultSegment(std::size_t node, int slot)
+{
+    if (slot == 0)
+        return system_->clkSegment(node);
+    if (slot == 1)
+        return system_->dataSegment(node);
+    return system_->laneSegment(slot - 1, node);
 }
 
 int &
-MbusBackend::forceDepth(std::size_t node, int lane)
+MbusBackend::forceDepth(std::size_t node, int slot)
 {
+    const std::size_t slots =
+        static_cast<std::size_t>(system_->config().dataLanes) + 1;
     if (forceDepth_.empty())
-        forceDepth_.assign(system_->nodeCount() * kFaultLanes, 0);
-    if (lane < 0)
-        lane = 0;
-    return forceDepth_[node * kFaultLanes +
-                       static_cast<std::size_t>(lane % kFaultLanes)];
+        forceDepth_.assign(nodeCount() * slots, 0);
+    return forceDepth_[node * slots + static_cast<std::size_t>(slot)];
 }
 
 void
 MbusBackend::injectWireForce(std::size_t node, int lane, bool level)
 {
-    if (node >= system_->nodeCount())
+    if (node >= nodeCount())
         return;
-    ++forceDepth(node, lane);
-    faultSegment(node, lane).force(level); // Last hold wins overlap.
+    int slot = faultSlot(lane);
+    ++forceDepth(node, slot);
+    faultSegment(node, slot).force(level); // Last hold wins overlap.
 }
 
 void
 MbusBackend::injectWireRelease(std::size_t node, int lane)
 {
-    if (node >= system_->nodeCount())
+    if (node >= nodeCount())
         return;
-    int &depth = forceDepth(node, lane);
+    int slot = faultSlot(lane);
+    int &depth = forceDepth(node, slot);
     if (depth == 0)
         return;
     if (--depth == 0)
-        faultSegment(node, lane).release();
+        faultSegment(node, slot).release();
 }
 
 void
 MbusBackend::injectGlitch(std::size_t node, int lane, int pulses)
 {
-    if (node >= system_->nodeCount() || pulses <= 0)
+    if (node >= nodeCount() || pulses <= 0)
         return;
     // Sub-hop-delay runts: force the opposite value for half a hop
     // delay, then snap back -- unless a stuck-at is (or becomes)
@@ -231,20 +330,21 @@ MbusBackend::injectGlitch(std::size_t node, int lane, int pulses)
     sim::SimTime width = system_->config().hopDelay / 2;
     if (width == 0)
         width = 1;
+    int slot = faultSlot(lane);
     sim::Simulator &sim = system_->simulator();
     for (int i = 0; i < pulses; ++i) {
         sim.schedule(2 * width * static_cast<sim::SimTime>(i),
-                     [this, node, lane] {
-                         if (forceDepth(node, lane) > 0)
+                     [this, node, slot] {
+                         if (forceDepth(node, slot) > 0)
                              return;
-                         wire::Net &seg = faultSegment(node, lane);
+                         wire::Net &seg = faultSegment(node, slot);
                          seg.force(!seg.value());
                      });
         sim.schedule(2 * width * static_cast<sim::SimTime>(i) + width,
-                     [this, node, lane] {
-                         if (forceDepth(node, lane) > 0)
+                     [this, node, slot] {
+                         if (forceDepth(node, slot) > 0)
                              return;
-                         faultSegment(node, lane).release();
+                         faultSegment(node, slot).release();
                      });
     }
 }
@@ -252,9 +352,9 @@ MbusBackend::injectGlitch(std::size_t node, int lane, int pulses)
 void
 MbusBackend::injectEdgeDrop(std::size_t node, int lane, int pulses)
 {
-    if (node >= system_->nodeCount() || pulses <= 0)
+    if (node >= nodeCount() || pulses <= 0)
         return;
-    faultSegment(node, lane)
+    faultSegment(node, faultSlot(lane))
         .dropEdges(static_cast<std::uint32_t>(pulses));
 }
 
@@ -268,8 +368,10 @@ void
 MbusBackend::brownout(std::size_t node)
 {
     // Node 0 hosts the mediator: cutting it is cutting the bus, not
-    // a member failure, so it is out of scope for the fault model.
-    if (node == 0 || node >= system_->nodeCount())
+    // a member failure, so it is out of scope for the fault model --
+    // as is the software member, whose MCU is the always-on engine
+    // of the mixed ring.
+    if (node == 0 || node >= nodeCount() || isSoft(node))
         return;
     bus::Node &n = system_->node(node);
     // The gateable domains die with in-flight state; queued sends
@@ -288,7 +390,7 @@ MbusBackend::brownout(std::size_t node)
 void
 MbusBackend::brownoutRecover(std::size_t node)
 {
-    if (node == 0 || node >= system_->nodeCount())
+    if (node == 0 || node >= nodeCount() || isSoft(node))
         return;
     bus::Node &n = system_->node(node);
     if (n.config().powerGated && !n.awake())
@@ -323,15 +425,13 @@ MbusBackend::watchdogPoll()
     // segment, dead transmitter, runaway clocking into a break)
     // stalls it even while the mediator's own output toggles.
     std::uint64_t progress =
-        system_->clkSegment(system_->nodeCount() - 1).edgeEpoch();
-    // "Busy" must cover every state runUntilIdle() waits out --
-    // including a node wedged mid-transaction with an empty queue
-    // (its receive path lost edges to a fault) -- or the watchdog
-    // would never reclaim exactly the hangs it exists for.
-    bool busy = !system_->mediator().asleep();
-    for (std::size_t i = 0; i < system_->nodeCount() && !busy; ++i)
-        busy = pendingTx(i) > 0 ||
-               system_->node(i).sleepController().transactionActive();
+        system_->clkSegment(nodeCount() - 1).edgeEpoch();
+    // "Busy" is exactly what runUntilIdle() waits out -- including a
+    // node wedged mid-transaction with an empty queue (its receive
+    // path lost edges to a fault; the forced control sequence is
+    // what clocks it back to idle) -- or the watchdog would never
+    // reclaim exactly the hangs it exists for.
+    bool busy = !system_->idle();
     // Two stall shapes, both needing two consecutive busy polls:
     // frozen CLK (broken ring, dead transmitter), and CLK edges
     // arriving while the mediator sleeps -- a glitch pulse orbiting

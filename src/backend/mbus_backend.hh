@@ -1,13 +1,27 @@
 /**
  * @file
- * BusBackend over the simulated hardware MBus ring.
+ * BusBackend over the simulated MBus ring -- all hardware, or mixed
+ * with one bit-banged software member (Sec 6.6).
  *
  * A thin, behaviour-preserving veneer: construction builds the same
  * MBusSystem (same node configs, same finalize order, hence the same
  * interned net names and VCD signal order) the scenario layer built
  * before the backend seam existed, and every operation forwards to
- * the node APIs directly. The backend determinism tests pin stats
- * and VCD bytes against pre-refactor captures.
+ * the ring directly. The backend determinism tests pin stats and VCD
+ * bytes against pre-refactor captures.
+ *
+ * Mixed rings (BackendKind::Bitbang, BackendKind::Firmware): nodes
+ * 0..n-2 are hardware chips (node 0 hosts the mediator) and node n-1
+ * is the four-GPIO software member -- the behavioral BitbangMbus or
+ * the ported libmbus firmware (FirmwareNode), which are
+ * differentially tested to produce identical waveforms, deliveries
+ * and energy. The member's ISR latency throttles the whole ring: the
+ * bus clock is clamped to a conservative fraction of the mixed
+ * ring's envelope, which is why these fabrics top out near the
+ * paper's ~120 kHz software ceiling instead of megahertz. Its ISR
+ * cycles are priced at the Sec 6.3.1 per-cycle CPU energy on top of
+ * the shared segment taps -- the software-implementation tax the
+ * paper quantifies.
  */
 
 #ifndef MBUS_BACKEND_MBUS_BACKEND_HH
@@ -22,16 +36,19 @@
 namespace mbus {
 namespace backend {
 
-/** The hardware-MBus fabric. */
+/** The MBus fabrics: hardware ring or mixed ring. */
 class MbusBackend final : public BusBackend
 {
   public:
-    MbusBackend(sim::Simulator &sim, const BusParams &params);
+    /** @p kind picks the ring: Mbus (all hardware), Bitbang or
+     *  Firmware (mixed, with the matching software member). */
+    MbusBackend(sim::Simulator &sim, const BusParams &params,
+                BackendKind kind = BackendKind::Mbus);
 
-    BackendKind kind() const override { return BackendKind::Mbus; }
+    BackendKind kind() const override { return kind_; }
     std::size_t nodeCount() const override
     {
-        return system_->nodeCount();
+        return system_->ringSize();
     }
     double busClockHz() const override
     {
@@ -83,20 +100,38 @@ class MbusBackend final : public BusBackend
     bus::MBusSystem &system() { return *system_; }
 
   private:
-    /** Injection lanes per node the fault engine can address. */
-    static constexpr int kFaultLanes = 8;
+    /** True when the ring carries a software member. */
+    bool
+    mixed() const
+    {
+        return system_->ringSize() > system_->nodeCount();
+    }
+    /** True for the mixed ring's software member (the last node). */
+    bool
+    isSoft(std::size_t node) const
+    {
+        return mixed() && node + 1 == nodeCount();
+    }
+    /** The clock headroom retiming (and a mixed ring's build) keeps
+     *  below the safe limit. */
+    double clockHeadroom() const;
+    double softCpuEnergyJ() const;
 
-    wire::Net &faultSegment(std::size_t node, int lane);
-    int &forceDepth(std::size_t node, int lane);
+    /** The per-node ring segment a fault on @p lane hits: 0 = CLK,
+     *  1 = DATA, l + 1 = extra lane l. Lanes the ring does not have
+     *  fold onto DATA. */
+    int faultSlot(int lane) const;
+    wire::Net &faultSegment(std::size_t node, int slot);
+    int &forceDepth(std::size_t node, int slot);
     void scheduleWatchdogPoll();
     void watchdogPoll();
 
-    BusParams params_;
+    BackendKind kind_;
     std::unique_ptr<bus::MBusSystem> system_;
 
     // --- Fault-injection state (idle unless a FaultSpec armed it) --
-    std::vector<int> forceDepth_; ///< Nested stuck-at holds,
-                                  ///< nodes x kFaultLanes.
+    std::vector<int> forceDepth_; ///< Nested stuck-at holds, one per
+                                  ///< (node, fault slot).
     std::uint32_t watchdogEpochs_ = 0;
     std::uint64_t busResets_ = 0;
     std::uint64_t wdLastProgress_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mbus/protocol.hh"
+#include "mbus/system.hh"
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
@@ -613,6 +614,23 @@ BitbangMbus::tryRequest()
     ++txQueue_.front().attempts;
     fwdData_ = false;
     dataOut_.drive(false); // Request the bus.
+}
+
+void
+addBitbangMember(bus::MBusSystem &sys, std::string name,
+                 BitbangMbus::Config cfg)
+{
+    sim::Simulator &sim = sys.simulator();
+    sys.addSoftMember(
+        std::move(name), cfg.cost.responseLatency(),
+        [&sim, cfg](const bus::SystemConfig &ring,
+                    const bus::SoftMemberPins &pins) mutable {
+            cfg.isrTrainMaxEdges =
+                ring.edgeTrains ? ring.trainMaxEdges : 0;
+            return std::make_unique<BitbangMbus>(
+                sim, cfg, pins.clkIn, pins.clkOut, pins.dataIn,
+                pins.dataOut);
+        });
 }
 
 } // namespace bitbang

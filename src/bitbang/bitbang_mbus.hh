@@ -20,14 +20,19 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "bitbang/cost_model.hh"
 #include "mbus/message.hh"
+#include "mbus/soft_member.hh"
 #include "sim/simulator.hh"
 #include "wire/net.hh"
 
 namespace mbus {
+namespace bus {
+class MBusSystem;
+}
 namespace bitbang {
 
 /** Statistics about the software engine. */
@@ -47,7 +52,8 @@ struct BitbangStats
  * must have edge-triggered interrupt support"); it branches on net
  * identity, so fanout stays allocation-free.
  */
-class BitbangMbus : private wire::EdgeListener
+class BitbangMbus final : public bus::SoftMember,
+                          private wire::EdgeListener
 {
   public:
     struct Config
@@ -82,26 +88,30 @@ class BitbangMbus : private wire::EdgeListener
     ~BitbangMbus();
 
     /** Queue a message for transmission (mirrors BusController). */
-    void send(bus::Message msg, bus::SendCallback cb = nullptr);
+    void send(bus::Message msg, bus::SendCallback cb = nullptr) override;
 
     /** Register the delivery callback. */
     void
-    setReceiveCallback(bus::ReceiveCallback cb)
+    setReceiveCallback(bus::ReceiveCallback cb) override
     {
         rxCb_ = std::move(cb);
     }
 
     const BitbangStats &stats() const { return stats_; }
+    std::uint64_t cyclesSpent() const override
+    {
+        return stats_.cyclesSpent;
+    }
 
     /** Worst ISR path actually exercised, in cycles. */
     int maxObservedPathCycles() const { return maxPathCycles_; }
 
     /** Messages queued but not yet terminally resolved. */
-    std::size_t pendingTx() const { return txQueue_.size(); }
+    std::size_t pendingTx() const override { return txQueue_.size(); }
 
     /** True when the engine sees an idle bus and has nothing queued. */
     bool
-    idle() const
+    idle() const override
     {
         return phase_ == Phase::Idle && txQueue_.empty();
     }
@@ -231,6 +241,15 @@ class BitbangMbus : private wire::EdgeListener
     BitbangStats stats_;
     int maxPathCycles_ = 0;
 };
+
+/**
+ * Make a BitbangMbus built from @p cfg the software member of
+ * @p sys, named @p name. Its CLK ISR-retirement trains follow the
+ * ring's edge-train switch and train length. Reach it after
+ * finalize() via sys.softMemberAs<BitbangMbus>().
+ */
+void addBitbangMember(bus::MBusSystem &sys, std::string name,
+                      BitbangMbus::Config cfg);
 
 } // namespace bitbang
 } // namespace mbus

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mbus/system.hh"
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
@@ -334,6 +335,21 @@ FirmwareNode::jitterDraw()
     jitterState_ ^= jitterState_ << 17;
     return static_cast<std::uint32_t>(
         jitterState_ % (cfg_.isrJitterCycles + 1));
+}
+
+void
+addFirmwareMember(bus::MBusSystem &sys, std::string name,
+                  FirmwareNode::Config cfg)
+{
+    sim::Simulator &sim = sys.simulator();
+    sys.addSoftMember(
+        std::move(name), cfg.cost.responseLatency(),
+        [&sim, cfg](const bus::SystemConfig &,
+                    const bus::SoftMemberPins &pins) {
+            return std::make_unique<FirmwareNode>(
+                sim, cfg, pins.clkIn, pins.clkOut, pins.dataIn,
+                pins.dataOut);
+        });
 }
 
 } // namespace firmware

@@ -43,16 +43,21 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bitbang/cost_model.hh"
 #include "firmware/libmbus_port.hh"
 #include "mbus/message.hh"
+#include "mbus/soft_member.hh"
 #include "sim/simulator.hh"
 #include "wire/gpio.hh"
 #include "wire/net.hh"
 
 namespace mbus {
+namespace bus {
+class MBusSystem;
+}
 namespace firmware {
 
 /** Statistics; the first five fields mirror bitbang::BitbangStats. */
@@ -71,7 +76,8 @@ struct FirmwareStats
 };
 
 /** A software MBus member running the real (ported) libmbus FSM. */
-class FirmwareNode : private wire::EdgeListener
+class FirmwareNode final : public bus::SoftMember,
+                           private wire::EdgeListener
 {
   public:
     struct Config
@@ -98,25 +104,29 @@ class FirmwareNode : private wire::EdgeListener
     ~FirmwareNode();
 
     /** Queue a message (never stomps an in-flight MBus_send). */
-    void send(bus::Message msg, bus::SendCallback cb = nullptr);
+    void send(bus::Message msg, bus::SendCallback cb = nullptr) override;
 
     void
-    setReceiveCallback(bus::ReceiveCallback cb)
+    setReceiveCallback(bus::ReceiveCallback cb) override
     {
         rxCb_ = std::move(cb);
     }
 
     const FirmwareStats &stats() const { return stats_; }
+    std::uint64_t cyclesSpent() const override
+    {
+        return stats_.cyclesSpent;
+    }
 
     /** Worst ISR path actually exercised, in cycles. */
     int maxObservedPathCycles() const { return maxPathCycles_; }
 
     /** Messages queued but not yet terminally resolved. */
-    std::size_t pendingTx() const { return txQueue_.size(); }
+    std::size_t pendingTx() const override { return txQueue_.size(); }
 
     /** True when the FSM is IDLE and nothing is queued. */
     bool
-    idle() const
+    idle() const override
     {
         return fsm_->state() == MBUS_STATE_IDLE && txQueue_.empty() &&
                !fsm_->eventsPending();
@@ -197,6 +207,14 @@ class FirmwareNode : private wire::EdgeListener
     int maxPathCycles_ = 0;
     std::uint64_t jitterState_ = 0;
 };
+
+/**
+ * Make a FirmwareNode built from @p cfg the software member of
+ * @p sys, named @p name. Reach it after finalize() via
+ * sys.softMemberAs<FirmwareNode>().
+ */
+void addFirmwareMember(bus::MBusSystem &sys, std::string name,
+                       FirmwareNode::Config cfg);
 
 } // namespace firmware
 } // namespace mbus

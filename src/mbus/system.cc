@@ -36,6 +36,22 @@ MBusSystem::addNode(NodeConfig cfg)
     return *nodes_.back();
 }
 
+void
+MBusSystem::addSoftMember(std::string name, sim::SimTime responseLatency,
+                          SoftMemberFactory make)
+{
+    if (finalized_)
+        mbus_fatal("addSoftMember() after finalize()");
+    if (softMake_)
+        mbus_fatal("a ring carries at most one software member");
+    if (cfg_.dataLanes != 1)
+        mbus_fatal("the four-GPIO software member is single-lane, "
+                   "got ", cfg_.dataLanes, " DATA lanes");
+    softName_ = std::move(name);
+    softMake_ = std::move(make);
+    cfg_.extraRingLatency = 2 * responseLatency + responseLatency / 2;
+}
+
 double
 MBusSystem::maxSafeClockHz() const
 {
@@ -45,7 +61,7 @@ MBusSystem::maxSafeClockHz() const
     // member's response latency).
     double hop_s = sim::toSeconds(cfg_.hopDelay);
     double half_period_floor =
-        hop_s * (static_cast<double>(nodes_.size()) + 2.0) +
+        hop_s * (static_cast<double>(ringSize()) + 2.0) +
         sim::toSeconds(cfg_.extraRingLatency);
     return 1.0 / (2.0 * half_period_floor);
 }
@@ -57,6 +73,7 @@ MBusSystem::finalize()
         mbus_fatal("finalize() called twice");
     if (nodes_.size() < 2)
         mbus_fatal("an MBus system needs at least 2 nodes");
+    const std::size_t n = ringSize();
     finalized_ = true;
 
     // Duplicate static short prefixes make two nodes match (and ACK)
@@ -78,17 +95,20 @@ MBusSystem::finalize()
     if (cfg_.busClockHz > maxSafeClockHz()) {
         mbus_fatal("bus clock ", cfg_.busClockHz / 1e6,
                    " MHz exceeds the safe limit ",
-                   maxSafeClockHz() / 1e6, " MHz for ", nodes_.size(),
+                   maxSafeClockHz() / 1e6, " MHz for ", n,
                    " nodes at ", sim::toSeconds(cfg_.hopDelay) * 1e9,
-                   " ns/hop");
+                   " ns/hop",
+                   softMake_ ? ": too fast for the bitbang member's "
+                               "ISR budget"
+                             : "");
     }
 
-    std::size_t n = nodes_.size();
     ledger_.resize(n);
     laneSegs_.resize(static_cast<std::size_t>(cfg_.dataLanes) - 1);
 
     for (std::size_t i = 0; i < n; ++i) {
-        std::string base = nodes_[i]->name();
+        std::string base = i < nodes_.size() ? nodes_[i]->name()
+                                              : softName_;
         clkSegs_.push_back(std::make_unique<wire::Net>(
             sim_, base + ".CLK_OUT", cfg_.hopDelay, true));
         dataSegs_.push_back(std::make_unique<wire::Net>(
@@ -143,7 +163,10 @@ MBusSystem::finalize()
 
     medLink_ = std::make_unique<MediatorHostLink>();
 
-    for (std::size_t i = 0; i < n; ++i) {
+    // Listener attach order on shared segments is load-bearing
+    // (same-timestamp delivery order): chips in ring order, then the
+    // software member, then the mediator.
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
         std::size_t prev = (i + n - 1) % n;
         std::vector<wire::Net *> lane_ins, lane_outs;
         for (auto &lane : laneSegs_) {
@@ -155,6 +178,12 @@ MBusSystem::finalize()
                         *dataSegs_[i], std::move(lane_ins),
                         std::move(lane_outs), is_host,
                         is_host ? medLink_.get() : nullptr);
+    }
+    if (softMake_) {
+        soft_ = softMake_(cfg_, SoftMemberPins{*clkSegs_[n - 2],
+                                               *clkSegs_[n - 1],
+                                               *dataSegs_[n - 2],
+                                               *dataSegs_[n - 1]});
     }
 
     Mediator::Context mctx{
@@ -247,24 +276,25 @@ MBusSystem::sendAndWait(std::size_t fromNode, Message msg,
 }
 
 bool
+MBusSystem::idle() const
+{
+    if (!mediator_->asleep() || (soft_ && !soft_->idle()))
+        return false;
+    for (auto &n : nodes_) {
+        if (n->sleepController().transactionActive() ||
+            n->busController().pendingTx() > 0)
+            return false;
+    }
+    return true;
+}
+
+bool
 MBusSystem::runUntilIdle(sim::SimTime timeout)
 {
     sim::SimTime limit = timeout == sim::kTimeForever
                              ? sim::kTimeForever
                              : sim_.now() + timeout;
-    return sim_.runUntil(
-        [this] {
-            if (!mediator_->asleep())
-                return false;
-            for (auto &n : nodes_) {
-                if (n->sleepController().transactionActive() ||
-                    n->busController().pendingTx() > 0) {
-                    return false;
-                }
-            }
-            return true;
-        },
-        limit);
+    return sim_.runUntil([this] { return idle(); }, limit);
 }
 
 int
@@ -459,7 +489,7 @@ double
 MBusSystem::idleLeakageJ() const
 {
     return power::kIdleLeakagePerChipW *
-           static_cast<double>(nodes_.size()) *
+           static_cast<double>(ringSize()) *
            sim::toSeconds(sim_.now());
 }
 

@@ -5,7 +5,10 @@
  * Owns the ring segments (Nets), the nodes, the mediator, the energy
  * ledger, and the live system configuration. Node 0 hosts the
  * mediator, mirroring the paper's systems where the mediator is a
- * block on the processor chip.
+ * block on the processor chip. A ring may also carry one bit-banged
+ * software member (Sec 6.6) in its last position; the system budgets
+ * its ISR latency into the ring round trip and otherwise treats it
+ * as one more member.
  */
 
 #ifndef MBUS_BUS_SYSTEM_HH
@@ -21,6 +24,7 @@
 #include "mbus/mediator.hh"
 #include "mbus/message.hh"
 #include "mbus/node.hh"
+#include "mbus/soft_member.hh"
 #include "power/energy.hh"
 #include "power/switching.hh"
 #include "sim/simulator.hh"
@@ -51,15 +55,46 @@ class MBusSystem
      */
     Node &addNode(NodeConfig cfg);
 
+    /**
+     * Add the software member (Sec 6.6) in the last ring position,
+     * after every chip. @p make builds it at bind time. Its ISR
+     * @p responseLatency is budgeted 2.5x into the ring round trip
+     * (SystemConfig::extraRingLatency): CLK and DATA edges can land
+     * back-to-back and serialize on the one CPU. At most one per
+     * ring, single-lane only; must be called before finalize().
+     */
+    void addSoftMember(std::string name, sim::SimTime responseLatency,
+                       SoftMemberFactory make);
+
     /** Build segments, wire nodes, create the mediator. */
     void finalize();
 
     // --- Access -----------------------------------------------------
 
+    /** Hardware chips on the ring (node(0) .. node(nodeCount()-1)). */
     std::size_t nodeCount() const { return nodes_.size(); }
+    /** Ring members: the chips plus any software member, which sits
+     *  at index ringSize() - 1. */
+    std::size_t
+    ringSize() const
+    {
+        return nodes_.size() + (softMake_ ? 1 : 0);
+    }
     Node &node(std::size_t i) { return *nodes_.at(i); }
     const Node &node(std::size_t i) const { return *nodes_.at(i); }
     Node *nodeByName(const std::string &name);
+
+    /** The software member; nullptr when the ring has none (or
+     *  before finalize()). */
+    SoftMember *softMember() { return soft_.get(); }
+
+    /** The software member as the concrete type its factory built. */
+    template <class M>
+    M &
+    softMemberAs()
+    {
+        return static_cast<M &>(*soft_);
+    }
 
     Mediator &mediator() { return *mediator_; }
 
@@ -94,7 +129,12 @@ class MBusSystem
                                         sim::SimTime timeout =
                                             sim::kTimeForever);
 
-    /** Run the simulator until the bus is idle everywhere. */
+    /** True when the bus is idle everywhere: the mediator sleeps, no
+     *  chip is mid-transaction or has queued sends, and the software
+     *  member (if any) is idle. */
+    bool idle() const;
+
+    /** Run the simulator until idle(). */
     bool runUntilIdle(sim::SimTime timeout = sim::kTimeForever);
 
     /**
@@ -208,6 +248,9 @@ class MBusSystem
     std::vector<std::unique_ptr<wire::Net>> dataSegs_;
     std::vector<std::vector<std::unique_ptr<wire::Net>>> laneSegs_;
     std::vector<std::unique_ptr<SegmentEnergyTap>> energyTaps_;
+    std::string softName_;
+    SoftMemberFactory softMake_;
+    std::unique_ptr<SoftMember> soft_;
     std::unique_ptr<Mediator> mediator_;
     std::unique_ptr<MediatorHostLink> medLink_;
     bool finalized_ = false;

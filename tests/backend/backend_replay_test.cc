@@ -11,6 +11,8 @@
  *    representative scenarios equal the captures taken on the
  *    pre-refactor code path (runScenario driving MBusSystem
  *    directly), pinning "backend seam changed nothing" forever;
+ *    two faulty five-node mixed rings (bitbang, firmware) pin the
+ *    software member's ring position and the shared fault code;
  *  - classic (non-workload) traffic also runs on the I2C fabrics.
  */
 
@@ -40,6 +42,31 @@ mixCell(backend::BackendKind kind, double storm, double durationS)
     return s;
 }
 
+/** Stuck-at, glitch and brownout faults for the mixed-ring goldens,
+ *  with the watchdog armed at 32 epochs. */
+fault::FaultSpec
+mixedRingFaults()
+{
+    fault::FaultSpec fs;
+    fs.name = "mixed";
+    fs.watchdogEpochs = 32;
+    fault::FaultEntry stuck;
+    stuck.kind = fault::FaultKind::StuckAt0;
+    stuck.endS = 0.01;
+    stuck.durationS = 4e-4;
+    fault::FaultEntry glitch;
+    glitch.kind = fault::FaultKind::GlitchBurst;
+    glitch.endS = 0.01;
+    glitch.count = 2;
+    glitch.pulses = 3;
+    fault::FaultEntry brownout;
+    brownout.kind = fault::FaultKind::Brownout;
+    brownout.endS = 0.01;
+    brownout.durationS = 5e-4;
+    fs.entries = {stuck, glitch, brownout};
+    return fs;
+}
+
 } // namespace
 
 TEST(BackendReplay, GoldenMbusVcdIdentity)
@@ -61,6 +88,10 @@ TEST(BackendReplay, GoldenMbusVcdIdentity)
          2329},
         {"golden_workload", 0x2e6d7350b94a3fd9ULL, 4513097u, 54,
          74899},
+        {"golden_bitbang_faulty", 0xd1b846e0aad80819ULL, 59982u, 6,
+         2105},
+        {"golden_firmware_faulty", 0xec6b9fb9d3b02881ULL, 58012u, 6,
+         2544},
     };
 
     std::vector<ScenarioSpec> grid;
@@ -100,6 +131,22 @@ TEST(BackendReplay, GoldenMbusVcdIdentity)
         s.name = "golden_workload";
         s.workload.durationS = 4.0;
         s.captureVcd = true;
+        grid.push_back(s);
+    }
+
+    // Mixed hardware/software rings under faults: pins the ring's
+    // construction order (same-timestamp listener order shows up in
+    // the VCD) together with the fault primitives and the watchdog.
+    for (backend::BackendKind kind :
+         {backend::BackendKind::Bitbang, backend::BackendKind::Firmware}) {
+        ScenarioSpec s;
+        s.name = std::string("golden_") + backend::backendKindName(kind) +
+                 "_faulty";
+        s.backend = kind;
+        s.nodes = 5;
+        s.traffic = TrafficPattern::RandomPairs;
+        s.captureVcd = true;
+        s.faults = mixedRingFaults();
         grid.push_back(s);
     }
 

@@ -12,10 +12,10 @@
 #include <optional>
 
 #include "backend/backend.hh"
-#include "backend/bitbang_backend.hh"
 #include "backend/i2c_backend.hh"
 #include "backend/mbus_backend.hh"
 #include "baseline/i2c.hh"
+#include "bitbang/bitbang_mbus.hh"
 #include "sim/simulator.hh"
 
 using namespace mbus;
@@ -262,7 +262,8 @@ TEST(I2cBackend, RetimeAppliesAfterCarrierMessage)
 TEST(BitbangBackend, DeliveryBothDirections)
 {
     sim::Simulator simulator;
-    BitbangBackend ring(simulator, smallParams(3, 400e3));
+    MbusBackend ring(simulator, smallParams(3, 400e3), BackendKind::Bitbang);
+    const std::size_t soft = ring.nodeCount() - 1;
     // The software member throttles the fabric far below 400 kHz.
     EXPECT_LT(ring.busClockHz(), 30e3);
 
@@ -271,20 +272,19 @@ TEST(BitbangBackend, DeliveryBothDirections)
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
             if (n == 0)
                 atGateway = rx.payload;
-            if (n == ring.softIndex())
+            if (n == soft)
                 atSoft = rx.payload;
         });
 
     bus::Message toGateway;
     toGateway.dest = ring.unicastAddress(0, false, 7);
     toGateway.payload = {0xCA, 0xFE};
-    EXPECT_EQ(sendAndRun(simulator, ring, ring.softIndex(), toGateway)
-                  .status,
+    EXPECT_EQ(sendAndRun(simulator, ring, soft, toGateway).status,
               bus::TxStatus::Ack);
     EXPECT_EQ(atGateway, toGateway.payload);
 
     bus::Message toSoft;
-    toSoft.dest = ring.unicastAddress(ring.softIndex(), false, 0);
+    toSoft.dest = ring.unicastAddress(soft, false, 0);
     toSoft.payload = {0x12, 0x34, 0x56};
     EXPECT_EQ(sendAndRun(simulator, ring, 1, toSoft).status,
               bus::TxStatus::Ack);
@@ -297,7 +297,8 @@ TEST(BitbangBackend, FiveNodeRingForwardsThroughSoftMember)
     // member; hw1 -> hw3 passes through nobody special, hw3 -> hw1
     // wraps through the software member's forwarding ISRs.
     sim::Simulator simulator;
-    BitbangBackend ring(simulator, smallParams(5, 400e3));
+    MbusBackend ring(simulator, smallParams(5, 400e3), BackendKind::Bitbang);
+    const std::size_t soft = ring.nodeCount() - 1;
     std::vector<std::uint8_t> seen;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
@@ -310,10 +311,14 @@ TEST(BitbangBackend, FiveNodeRingForwardsThroughSoftMember)
     EXPECT_EQ(sendAndRun(simulator, ring, 3, msg).status,
               bus::TxStatus::Ack);
     EXPECT_EQ(seen, msg.payload);
-    EXPECT_GT(ring.softNode().stats().isrInvocations, 0u);
+    EXPECT_GT(ring.system()
+                  .softMemberAs<bitbang::BitbangMbus>()
+                  .stats()
+                  .isrInvocations,
+              0u);
     // Segment switching charged; software CPU cycles priced in.
     EXPECT_GT(ring.switchingJ(), 0.0);
-    EXPECT_GT(ring.nodeEnergyJ(ring.softIndex()), 0.0);
+    EXPECT_GT(ring.nodeEnergyJ(soft), 0.0);
 }
 
 TEST(BitbangBackend, ThirdPartyInterjectionOfSoftTxFlagsTruncation)
@@ -323,7 +328,8 @@ TEST(BitbangBackend, ThirdPartyInterjectionOfSoftTxFlagsTruncation)
     // receiver flags the truncated delivery instead of treating it
     // as a clean end-of-message.
     sim::Simulator simulator;
-    BitbangBackend ring(simulator, smallParams(3, 400e3));
+    MbusBackend ring(simulator, smallParams(3, 400e3), BackendKind::Bitbang);
+    const std::size_t soft = ring.nodeCount() - 1;
     std::optional<bus::ReceivedMessage> seen;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
@@ -334,7 +340,7 @@ TEST(BitbangBackend, ThirdPartyInterjectionOfSoftTxFlagsTruncation)
     msg.dest = ring.unicastAddress(0, false, 7);
     msg.payload = {0xAA, 1, 2, 3, 4, 5, 6, 7};
     std::optional<bus::TxResult> result;
-    ring.send(ring.softIndex(), msg,
+    ring.send(soft, msg,
               [&](const bus::TxResult &r) { result = r; });
     simulator.schedule(
         sim::fromSeconds(40.0 / ring.busClockHz()),

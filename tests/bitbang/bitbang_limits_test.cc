@@ -7,23 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include "bitbang/mixed_ring.hh"
+#include "tests/bitbang/mixed_ring.hh"
 #include "sim/simulator.hh"
 
 using namespace mbus;
 using namespace mbus::bitbang;
-
-namespace {
-
-bus::SystemConfig
-mixedCfg(double busHz)
-{
-    bus::SystemConfig cfg;
-    cfg.busClockHz = busHz;
-    return cfg;
-}
-
-} // namespace
 
 TEST(BitbangLimits, FasterCpuSupportsFasterBus)
 {
@@ -32,13 +20,13 @@ TEST(BitbangLimits, FasterCpuSupportsFasterBus)
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
     bb.cost.cpuHz = 32e6;
-    MixedRing ring(simulator, mixedCfg(60e3), bb);
+    auto ring = buildMixedRing(simulator, 60e3, bb);
 
     std::optional<bus::TxResult> result;
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(3, 0);
     msg.payload = {0x11, 0x22};
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
+    ring->node(0).send(msg, [&](const bus::TxResult &r) { result = r; });
     simulator.runUntil([&] { return result.has_value(); },
                        sim::kSecond);
     ASSERT_TRUE(result.has_value());
@@ -54,7 +42,7 @@ TEST(BitbangLimitsDeath, OverfastMixedRingIsRejected)
             sim::Simulator simulator;
             BitbangMbus::Config bb;
             bb.shortPrefix = 3;
-            MixedRing ring(simulator, mixedCfg(200e3), bb);
+            buildMixedRing(simulator, 200e3, bb);
         },
         testing::ExitedWithCode(1), "too fast for the bitbang");
 }
@@ -64,12 +52,13 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
     sim::Simulator simulator;
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    auto ring = buildMixedRing(simulator, 20e3, bb);
+    auto &soft = ring->softMemberAs<BitbangMbus>();
 
     int sw_rx = 0, hw_rx = 0;
-    ring.softNode().setReceiveCallback(
+    soft.setReceiveCallback(
         [&](const bus::ReceivedMessage &) { ++sw_rx; });
-    ring.hw1().layer().setMailboxHandler(
+    ring->node(1).layer().setMailboxHandler(
         [&](const bus::ReceivedMessage &) { ++hw_rx; });
 
     const int kRounds = 5;
@@ -79,7 +68,7 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
         down.dest = bus::Address::shortAddr(3, 0);
         down.payload = {static_cast<std::uint8_t>(i)};
         bool d = false;
-        ring.hw0().send(down, [&](const bus::TxResult &r) {
+        ring->node(0).send(down, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             ++completions;
             d = true;
@@ -90,7 +79,7 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
         up.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
         up.payload = {static_cast<std::uint8_t>(0x80 + i), 0xFF};
         bool u = false;
-        ring.softNode().send(up, [&](const bus::TxResult &r) {
+        soft.send(up, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             ++completions;
             u = true;
@@ -103,7 +92,7 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
     EXPECT_EQ(sw_rx, kRounds);
     EXPECT_EQ(hw_rx, kRounds);
     // The ISR accounting never exceeded the modelled worst case.
-    EXPECT_LE(ring.softNode().maxObservedPathCycles(),
+    EXPECT_LE(soft.maxObservedPathCycles(),
               bb.cost.worstPathCycles());
 }
 
@@ -112,17 +101,17 @@ TEST(BitbangLimits, CpuSerializationIsAccounted)
     sim::Simulator simulator;
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    auto ring = buildMixedRing(simulator, 20e3, bb);
+    auto &soft = ring->softMemberAs<BitbangMbus>();
 
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
     msg.payload.assign(16, 0xA5);
     bool done = false;
-    ring.softNode().send(msg,
-                         [&](const bus::TxResult &) { done = true; });
+    soft.send(msg, [&](const bus::TxResult &) { done = true; });
     simulator.runUntil([&] { return done; }, 2 * sim::kSecond);
 
-    const auto &st = ring.softNode().stats();
+    const auto &st = soft.stats();
     EXPECT_GT(st.isrInvocations, 100u); // Every edge cost an ISR.
     // CPU-seconds spent must equal cycles / f: sanity of accounting.
     double cpu_s = static_cast<double>(st.cyclesSpent) / bb.cost.cpuHz;

@@ -8,7 +8,7 @@
 
 #include "bitbang/bitbang_i2c.hh"
 #include "bitbang/cost_model.hh"
-#include "bitbang/mixed_ring.hh"
+#include "tests/bitbang/mixed_ring.hh"
 #include "sim/simulator.hh"
 
 using namespace mbus;
@@ -47,18 +47,6 @@ TEST(BitbangI2cRef, LongestPathIs21Instructions)
                 static_cast<double>(cost.worstPathCycles()), 15.0);
 }
 
-namespace {
-
-bus::SystemConfig
-mixedCfg(double busHz)
-{
-    bus::SystemConfig cfg;
-    cfg.busClockHz = busHz;
-    return cfg;
-}
-
-} // namespace
-
 TEST(MixedRing, HardwareToBitbangDelivery)
 {
     // A hardware node sends; the software member receives. 20 kHz is
@@ -66,17 +54,18 @@ TEST(MixedRing, HardwareToBitbangDelivery)
     sim::Simulator simulator;
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    auto ring = buildMixedRing(simulator, 20e3, bb);
+    auto &soft = ring->softMemberAs<BitbangMbus>();
 
     std::vector<std::uint8_t> seen;
-    ring.softNode().setReceiveCallback(
+    soft.setReceiveCallback(
         [&](const bus::ReceivedMessage &rx) { seen = rx.payload; });
 
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(3, 0);
     msg.payload = {0xCA, 0xFE};
     std::optional<bus::TxResult> result;
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
+    ring->node(0).send(msg, [&](const bus::TxResult &r) { result = r; });
 
     simulator.runUntil([&] { return result.has_value(); },
                        sim::kSecond);
@@ -84,7 +73,7 @@ TEST(MixedRing, HardwareToBitbangDelivery)
     EXPECT_EQ(result->status, bus::TxStatus::Ack);
     simulator.run(simulator.now() + 100 * sim::kMillisecond);
     EXPECT_EQ(seen, msg.payload);
-    EXPECT_EQ(ring.softNode().stats().messagesReceived, 1u);
+    EXPECT_EQ(soft.stats().messagesReceived, 1u);
 }
 
 TEST(MixedRing, BitbangToHardwareDelivery)
@@ -92,18 +81,18 @@ TEST(MixedRing, BitbangToHardwareDelivery)
     sim::Simulator simulator;
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    auto ring = buildMixedRing(simulator, 20e3, bb);
+    auto &soft = ring->softMemberAs<BitbangMbus>();
 
     std::vector<std::uint8_t> seen;
-    ring.hw1().layer().setMailboxHandler(
+    ring->node(1).layer().setMailboxHandler(
         [&](const bus::ReceivedMessage &rx) { seen = rx.payload; });
 
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
     msg.payload = {0x12, 0x34, 0x56};
     std::optional<bus::TxResult> result;
-    ring.softNode().send(msg,
-                         [&](const bus::TxResult &r) { result = r; });
+    soft.send(msg, [&](const bus::TxResult &r) { result = r; });
 
     simulator.runUntil([&] { return result.has_value(); },
                        sim::kSecond);
@@ -120,17 +109,18 @@ TEST(MixedRing, SoftwareMemberForwardsThirdPartyTraffic)
     sim::Simulator simulator;
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    auto ring = buildMixedRing(simulator, 20e3, bb);
+    auto &soft = ring->softMemberAs<BitbangMbus>();
 
     std::vector<std::uint8_t> seen;
-    ring.hw1().layer().setMailboxHandler(
+    ring->node(1).layer().setMailboxHandler(
         [&](const bus::ReceivedMessage &rx) { seen = rx.payload; });
 
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
     msg.payload = {0x99};
     std::optional<bus::TxResult> result;
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
+    ring->node(0).send(msg, [&](const bus::TxResult &r) { result = r; });
 
     simulator.runUntil([&] { return result.has_value(); },
                        sim::kSecond);
@@ -138,7 +128,7 @@ TEST(MixedRing, SoftwareMemberForwardsThirdPartyTraffic)
     EXPECT_EQ(result->status, bus::TxStatus::Ack);
     simulator.run(simulator.now() + 100 * sim::kMillisecond);
     EXPECT_EQ(seen, msg.payload);
-    EXPECT_GT(ring.softNode().stats().isrInvocations, 0u);
+    EXPECT_GT(soft.stats().isrInvocations, 0u);
 }
 
 TEST(MixedRing, ObservedIsrPathWithinModelledWorstCase)
@@ -146,18 +136,35 @@ TEST(MixedRing, ObservedIsrPathWithinModelledWorstCase)
     sim::Simulator simulator;
     BitbangMbus::Config bb;
     bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    auto ring = buildMixedRing(simulator, 20e3, bb);
+    auto &soft = ring->softMemberAs<BitbangMbus>();
 
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(3, 0);
     msg.payload = {1, 2, 3, 4};
     std::optional<bus::TxResult> result;
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
+    ring->node(0).send(msg, [&](const bus::TxResult &r) { result = r; });
     simulator.runUntil([&] { return result.has_value(); },
                        sim::kSecond);
 
     Msp430CostModel cost;
-    EXPECT_LE(ring.softNode().maxObservedPathCycles(),
+    EXPECT_LE(soft.maxObservedPathCycles(),
               cost.worstPathCycles());
-    EXPECT_GT(ring.softNode().stats().cyclesSpent, 0u);
+    EXPECT_GT(soft.stats().cyclesSpent, 0u);
+}
+
+TEST(MixedRing, MaxLengthConfigReachesTheMediator)
+{
+    // Sec 7 run-time configuration works on a mixed ring exactly as
+    // on a hardware one: a max-length broadcast from a member
+    // reaches the mediator host, which applies it.
+    sim::Simulator simulator;
+    BitbangMbus::Config bb;
+    bb.shortPrefix = 3;
+    auto ring = buildMixedRing(simulator, 20e3, bb);
+    ASSERT_NE(ring->mediator().maxMessageBytes(), 4096u);
+
+    ring->broadcastMaxMessageLength(1, 4096);
+    EXPECT_TRUE(ring->runUntilIdle(sim::kSecond));
+    EXPECT_EQ(ring->mediator().maxMessageBytes(), 4096u);
 }

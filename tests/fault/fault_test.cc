@@ -3,7 +3,8 @@
  * Unit tests for the physical-layer fault engine and the recovery
  * machinery around it: plan determinism and stream independence, the
  * Net pulse-swallowing primitive, brownout Reset semantics, the
- * mediator watchdog reclaiming a hung transmitter, the I2C bus-jam
+ * mediator watchdog reclaiming a hung transmitter, nested stuck-at
+ * holds on lanes that share a segment, the I2C bus-jam
  * mapping, the retry/backoff wrapper, and the zero-overhead-when-off
  * guarantee at the scenario level.
  */
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "backend/backend.hh"
+#include "backend/mbus_backend.hh"
 #include "fault/fault.hh"
 #include "fault/retry.hh"
 #include "mbus/layer_controller.hh"
@@ -256,6 +258,22 @@ TEST(MbusFault, WatchdogReclaimsHungTransmitter)
     b->runUntilIdle(sim::kSecond);
     bus::TxResult r = sendAndRun(simulator, *b, 1, smallMsg(*b, 3));
     EXPECT_EQ(r.status, bus::TxStatus::Ack);
+}
+
+TEST(MbusFault, NestedHoldsOnFoldedLanesShareTheSegment)
+{
+    // On a one-lane ring every lane past DATA folds onto the DATA
+    // segment, so holds on lanes 1 and 2 nest on one wire: releasing
+    // one must leave the other still holding it.
+    sim::Simulator simulator;
+    MbusBackend b(simulator, smallParams(3, 400e3));
+    wire::Net &data = b.system().dataSegment(1);
+    b.injectWireForce(1, /*lane=*/1, /*level=*/false);
+    b.injectWireForce(1, /*lane=*/2, /*level=*/false);
+    b.injectWireRelease(1, 1);
+    EXPECT_TRUE(data.forced());
+    b.injectWireRelease(1, 2);
+    EXPECT_FALSE(data.forced());
 }
 
 TEST(I2cFault, StuckBusKillsActiveTransferAndStallsQueue)

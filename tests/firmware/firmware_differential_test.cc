@@ -2,7 +2,8 @@
  * @file
  * Differential harness: the ported libmbus firmware node vs the
  * behavioral BitbangMbus model, driven through identical randomized
- * scenarios (same spec, same cell seed, only the SoftFlavor differs).
+ * scenarios (same spec, same cell seed, only the backend kind --
+ * bitbang or firmware -- differs).
  *
  * The two engines are intended to be indistinguishable from the
  * wire's point of view: same delivered bytes, same terminal status

@@ -12,7 +12,7 @@
  * INTERRUPTED).
  *
  * The FirmwareNode tests run the same FSM as the software member of a
- * mixed BitbangBackend ring (SoftFlavor::Firmware) and pin the
+ * mixed ring (MbusBackend, BackendKind::Firmware) and pin the
  * harness contract: busy sends queue FIFO instead of stomping, and
  * error codes surface as bus::TxStatus / bus::LocalError.
  */
@@ -25,7 +25,8 @@
 #include <vector>
 
 #include "backend/backend.hh"
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
+#include "firmware/firmware_node.hh"
 #include "firmware/libmbus_port.hh"
 #include "sim/simulator.hh"
 
@@ -445,34 +446,33 @@ TEST(FirmwareBackend, FactoryNameRoundTripsAndBuilds)
 TEST(FirmwareBackend, DeliveryBothDirections)
 {
     sim::Simulator simulator;
-    backend::BitbangBackend ring(
-        simulator, ringParams(3, 400e3),
-        backend::BitbangBackend::SoftFlavor::Firmware);
+    backend::MbusBackend ring(simulator, ringParams(3, 400e3),
+                              backend::BackendKind::Firmware);
+    const std::size_t soft = ring.nodeCount() - 1;
 
     std::vector<std::uint8_t> atGateway, atSoft;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
             if (n == 0)
                 atGateway = rx.payload;
-            if (n == ring.softIndex())
+            if (n == soft)
                 atSoft = rx.payload;
         });
 
     bus::Message toGateway;
     toGateway.dest = ring.unicastAddress(0, false, 7);
     toGateway.payload = {0xCA, 0xFE};
-    EXPECT_EQ(sendAndRun(simulator, ring, ring.softIndex(), toGateway)
-                  .status,
+    EXPECT_EQ(sendAndRun(simulator, ring, soft, toGateway).status,
               bus::TxStatus::Ack);
     EXPECT_EQ(atGateway, toGateway.payload);
 
     bus::Message toSoft;
-    toSoft.dest = ring.unicastAddress(ring.softIndex(), false, 0);
+    toSoft.dest = ring.unicastAddress(soft, false, 0);
     toSoft.payload = {0x12, 0x34, 0x56};
     EXPECT_EQ(sendAndRun(simulator, ring, 1, toSoft).status,
               bus::TxStatus::Ack);
     EXPECT_EQ(atSoft, toSoft.payload);
-    EXPECT_GT(ring.firmwareNode().stats().isrInvocations, 0u);
+    EXPECT_GT(ring.system().softMemberAs<FirmwareNode>().stats().isrInvocations, 0u);
 }
 
 TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
@@ -481,9 +481,9 @@ TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
     // while the first is still in flight must both complete, in
     // order, with their own payloads intact at the receiver.
     sim::Simulator simulator;
-    backend::BitbangBackend ring(
-        simulator, ringParams(3, 400e3),
-        backend::BitbangBackend::SoftFlavor::Firmware);
+    backend::MbusBackend ring(simulator, ringParams(3, 400e3),
+                              backend::BackendKind::Firmware);
+    const std::size_t soft = ring.nodeCount() - 1;
 
     std::vector<std::vector<std::uint8_t>> delivered;
     ring.setDeliveryHandler(
@@ -500,17 +500,17 @@ TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
     c.payload = {0xC1};
     int done = 0;
     bus::TxStatus stA{}, stC{};
-    ring.send(ring.softIndex(), a, [&](const bus::TxResult &r) {
+    ring.send(soft, a, [&](const bus::TxResult &r) {
         order.push_back(1);
         stA = r.status;
         ++done;
     });
-    ring.send(ring.softIndex(), c, [&](const bus::TxResult &r) {
+    ring.send(soft, c, [&](const bus::TxResult &r) {
         order.push_back(2);
         stC = r.status;
         ++done;
     });
-    EXPECT_EQ(ring.pendingTx(ring.softIndex()), 2u);
+    EXPECT_EQ(ring.pendingTx(soft), 2u);
 
     simulator.runUntil([&] { return done == 2; }, 10 * sim::kSecond);
     ASSERT_EQ(done, 2);
@@ -526,9 +526,9 @@ TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
 TEST(FirmwareBackend, ThirdPartyInterjectionMapsToInterrupted)
 {
     sim::Simulator simulator;
-    backend::BitbangBackend ring(
-        simulator, ringParams(3, 400e3),
-        backend::BitbangBackend::SoftFlavor::Firmware);
+    backend::MbusBackend ring(simulator, ringParams(3, 400e3),
+                              backend::BackendKind::Firmware);
+    const std::size_t soft = ring.nodeCount() - 1;
     std::optional<bus::ReceivedMessage> seen;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
@@ -539,7 +539,7 @@ TEST(FirmwareBackend, ThirdPartyInterjectionMapsToInterrupted)
     msg.dest = ring.unicastAddress(0, false, 7);
     msg.payload = {0xAA, 1, 2, 3, 4, 5, 6, 7};
     std::optional<bus::TxResult> result;
-    ring.send(ring.softIndex(), msg,
+    ring.send(soft, msg,
               [&](const bus::TxResult &r) { result = r; });
     simulator.schedule(sim::fromSeconds(40.0 / ring.busClockHz()),
                        [&] { ring.interject(1); });
@@ -559,17 +559,18 @@ TEST(FirmwareBackend, RxOverflowSurfacesLocalErrorAtDelivery)
     sim::Simulator simulator;
     backend::BusParams p = ringParams(3, 400e3);
     p.softRxCapacity = 4; // Tiny firmware receive buffer.
-    backend::BitbangBackend ring(
-        simulator, p, backend::BitbangBackend::SoftFlavor::Firmware);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Firmware);
+    const std::size_t soft = ring.nodeCount() - 1;
 
     std::optional<bus::ReceivedMessage> seen;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
-            if (n == ring.softIndex())
+            if (n == soft)
                 seen = rx;
         });
     bus::Message msg;
-    msg.dest = ring.unicastAddress(ring.softIndex(), false, 0);
+    msg.dest = ring.unicastAddress(soft, false, 0);
     msg.payload.assign(16, 0x5C);
     bus::TxResult r = sendAndRun(simulator, ring, 0, msg);
     EXPECT_NE(r.status, bus::TxStatus::Ack);
