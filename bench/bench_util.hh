@@ -146,7 +146,7 @@ smokeFaults(sim::Random &rng)
 /**
  * The CI faulty five-fabric grid: @p cells scenarios cycling through
  * all five fabrics with randomized-but-seeded topology, traffic,
- * faults, and retry policies. One generator, two gates: fault_smoke
+ * faults, and retry policies. One generator, two gates: `smoke fault`
  * checks in-process shard determinism on it, fleet_smoke checks
  * multi-process byte identity on the very same cells -- the grids
  * must stay byte-identical or the two gates drift apart.

@@ -1,9 +1,24 @@
 #include "sim/stats.hh"
 
+#include <cmath>
 #include <iomanip>
 
 namespace mbus {
 namespace sim {
+
+double
+nearestRankPercentile(const std::vector<double> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0;
+    std::size_t rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    if (rank == 0)
+        rank = 1;
+    if (rank > sorted.size())
+        rank = sorted.size();
+    return sorted[rank - 1];
+}
 
 void
 StatsRegistry::dump(std::ostream &os) const

@@ -4,7 +4,9 @@
  *
  * Components register counters and scalar gauges under dotted names
  * ("node2.bus.bits_rx"). The registry formats a sorted dump, which
- * benches and examples print alongside their tables.
+ * benches and examples print alongside their tables. Also home to the
+ * one nearest-rank percentile every reducer (per-cell, per-actor,
+ * sweep aggregate, metrics histograms) uses.
  */
 
 #ifndef MBUS_SIM_STATS_HH
@@ -14,9 +16,20 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace mbus {
 namespace sim {
+
+/**
+ * Nearest-rank percentile over an ascending-sorted sample: the
+ * element at rank ceil(q * n), clamped to [1, n].
+ *
+ * @param sorted Ascending; an empty sample yields 0.
+ * @param q Quantile in (0, 1].
+ */
+double nearestRankPercentile(const std::vector<double> &sorted,
+                             double q);
 
 /**
  * A registry of named statistics.

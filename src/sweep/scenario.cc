@@ -1,7 +1,6 @@
 #include "sweep/scenario.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -31,15 +30,6 @@ trafficPatternName(TrafficPattern p)
     case TrafficPattern::BroadcastMix: return "bcast_mix";
     }
     return "?";
-}
-
-double
-nearestRankPercentile(const std::vector<double> &sorted, double q)
-{
-    std::size_t n = sorted.size();
-    std::size_t i = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    return sorted[(i == 0 ? 1 : i) - 1];
 }
 
 namespace {
@@ -158,14 +148,75 @@ registerStats(trace::MetricsRegistry &reg, const ScenarioStats &st,
         });
 }
 
-void runClassicTraffic(const ScenarioSpec &spec,
-                       backend::BusBackend &backend,
-                       sim::Simulator &simulator, ScenarioStats &st,
-                       fault::RetryStats &retryStats, int &done,
-                       sim::SimTime &lastCompletion,
-                       double &latencySumS,
-                       std::vector<double> &latenciesS,
-                       std::uint64_t &completedWireBits);
+/** The pre-workload traffic driver: one planned message at a time
+ *  from the makePlan() stream, with delivery integrity checking. */
+workload::WorkloadRunStats
+runClassicTraffic(const ScenarioSpec &spec, backend::BusBackend &backend,
+                  sim::Simulator &simulator)
+{
+    workload::WorkloadRunStats w;
+    w.planned = spec.messages;
+    auto plan = makePlan(spec, backend, simulator.rng());
+
+    std::multiset<std::vector<std::uint8_t>> expected;
+    backend.setDeliveryHandler(
+        [&](std::size_t, const bus::ReceivedMessage &rx) {
+            w.recordDelivery(rx, expected);
+        });
+
+    int done = 0;
+    sim::SimTime issuedAt = 0;
+    w.txLatenciesS.reserve(static_cast<std::size_t>(spec.messages));
+
+    std::function<void()> issueNext = [&] {
+        if (done >= spec.messages)
+            return;
+        const PlannedTx &tx = plan[static_cast<std::size_t>(done)];
+        int copies =
+            tx.broadcast ? std::max(spec.nodes - 1, 1) : 1;
+        for (int c = 0; c < copies; ++c)
+            expected.insert(tx.payload);
+        issuedAt = simulator.now();
+        bus::Message msg;
+        msg.dest = tx.dest;
+        msg.payload = tx.payload;
+        msg.priority = tx.priority;
+        if (tx.interject) {
+            // Storm: a third party cuts the message after a fraction
+            // of its modelled duration, timed on the clock the
+            // fabric actually runs (clamped fabrics run slower than
+            // the spec requests).
+            sim::SimTime period =
+                sim::periodFromHz(backend.busClockHz());
+            auto cycles = static_cast<double>(msg.totalCycles());
+            auto delay = static_cast<sim::SimTime>(
+                tx.interjectFrac * cycles * static_cast<double>(period));
+            std::size_t who = tx.interjector;
+            simulator.schedule(delay,
+                               [&backend, who] { backend.interject(who); });
+        }
+        int wireBits = tx.wireBits;
+        // With a retry policy the callback sees only the *terminal*
+        // result of the attempt chain; disabled, this is a plain
+        // backend.send().
+        fault::sendWithRetry(
+            backend, simulator, tx.sender, std::move(msg), spec.retry,
+            w.retry, [&, wireBits](const bus::TxResult &r) {
+                w.recordTerminal(r, issuedAt, wireBits);
+                ++done;
+                issueNext();
+            });
+    };
+
+    if (spec.messages > 0)
+        issueNext();
+    bool finished = simulator.runUntil(
+        [&] { return done >= spec.messages; }, spec.timeLimit);
+    bool idle = backend.runUntilIdle(sim::kSecond);
+    w.wedged = !finished || !idle;
+    backend.setDeliveryHandler(nullptr);
+    return w;
+}
 
 } // namespace
 
@@ -226,88 +277,70 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
         faultEngine->arm(*backend, simulator);
     }
 
-    ScenarioStats st;
-    fault::RetryStats retryStats;
-
-    int done = 0;
-    sim::SimTime lastCompletion = 0;
-    double latencySumS = 0;
-    std::vector<double> latenciesS;
-    std::uint64_t completedWireBits = 0;
-
+    // Application-mix cells: the engine compiles a pre-drawn plan on
+    // the cell seed and drives the system through the same node APIs;
+    // the messages/traffic knobs are ignored. Otherwise the classic
+    // driver issues the makePlan() stream one message at a time.
+    workload::WorkloadRunStats w;
     if (spec.workload.enabled()) {
-        // Application-mix cell: the engine compiles a pre-drawn plan
-        // on the cell seed and drives the system through the same
-        // node APIs; the messages/traffic knobs are ignored.
         workload::WorkloadEngine engine(spec.workload, seed,
                                         spec.nodes);
         sim::SimTime limit = std::max(
             spec.timeLimit,
             sim::fromSeconds(spec.workload.durationS) + sim::kSecond);
-        workload::WorkloadRunStats w =
-            engine.drive(*backend, simulator, limit);
-
-        st.planned = w.planned;
-        st.acked = w.acked;
-        st.naked = w.naked;
-        st.broadcasts = w.broadcasts;
-        st.interrupted = w.interrupted;
-        st.rxAborts = w.rxAborts;
-        st.failed = w.failed;
-        st.bytesDelivered = w.bytesDelivered;
-        st.payloadMismatches = w.payloadMismatches;
-        st.arbitrationRetries = w.arbitrationRetries;
-        st.firstTxLatencyS = w.firstTxLatencyS;
-        st.wedged = w.wedged;
-        st.actorStats = std::move(w.actors);
-        st.missedDeadlines = w.missedDeadlines;
-        st.samplesPlanned = w.samplesPlanned;
-        st.samplesDelivered = w.samplesDelivered;
-        st.stormInterjections = w.stormInterjections;
-        st.gateWindows = w.gateWindows;
-        st.faultsInjected = w.faultsInjected;
-        st.faultsRecovered = w.faultsRecovered;
-        st.retimings = w.retimings;
-        st.txResets = w.txResets;
-        st.deliveredOk = w.deliveredOk;
-        st.deliveredInterrupted = w.deliveredInterrupted;
-        st.deliveredOverflow = w.deliveredOverflow;
-        retryStats.retries = w.retries;
-        retryStats.recoveredTx = w.recoveredTx;
-        retryStats.abandonedTx = w.abandonedTx;
-        retryStats.recoveryS = std::move(w.recoveryS);
-
-        latenciesS = std::move(w.txLatenciesS);
-        latencySumS = w.latencySumS;
-        completedWireBits = w.completedWireBits;
-        lastCompletion = w.lastCompletion;
-        done = static_cast<int>(latenciesS.size());
+        w = engine.drive(*backend, simulator, limit);
     } else {
-        runClassicTraffic(spec, *backend, simulator, st, retryStats,
-                          done, lastCompletion, latencySumS,
-                          latenciesS, completedWireBits);
+        w = runClassicTraffic(spec, *backend, simulator);
     }
 
+    ScenarioStats st;
+    st.planned = w.planned;
+    st.acked = w.acked;
+    st.naked = w.naked;
+    st.broadcasts = w.broadcasts;
+    st.interrupted = w.interrupted;
+    st.rxAborts = w.rxAborts;
+    st.failed = w.failed;
+    st.bytesDelivered = w.bytesDelivered;
+    st.payloadMismatches = w.payloadMismatches;
+    st.arbitrationRetries = w.arbitrationRetries;
+    st.firstTxLatencyS = w.firstTxLatencyS;
+    st.wedged = w.wedged;
+    st.actorStats = std::move(w.actors);
+    st.missedDeadlines = w.missedDeadlines;
+    st.samplesPlanned = w.samplesPlanned;
+    st.samplesDelivered = w.samplesDelivered;
+    st.stormInterjections = w.stormInterjections;
+    st.gateWindows = w.gateWindows;
+    st.faultsInjected = w.faultsInjected;
+    st.faultsRecovered = w.faultsRecovered;
+    st.retimings = w.retimings;
+    st.txResets = w.txResets;
+    st.deliveredOk = w.deliveredOk;
+    st.deliveredInterrupted = w.deliveredInterrupted;
+    st.deliveredOverflow = w.deliveredOverflow;
+
     // --- Reduction ---------------------------------------------------
-    double elapsedS = sim::toSeconds(lastCompletion);
+    int done = static_cast<int>(w.txLatenciesS.size());
+    double elapsedS = sim::toSeconds(w.lastCompletion);
     if (done > 0 && elapsedS > 0) {
         st.txPerSecond = static_cast<double>(done) / elapsedS;
         st.goodputBps =
             8.0 * static_cast<double>(st.bytesDelivered) / elapsedS;
-        st.avgTxLatencyS = latencySumS / done;
+        st.avgTxLatencyS = w.latencySumS / done;
         st.avgCyclesPerTx = st.avgTxLatencyS * backend->busClockHz();
     }
-    if (!latenciesS.empty()) {
-        std::sort(latenciesS.begin(), latenciesS.end());
-        st.latencyP50S = nearestRankPercentile(latenciesS, 0.50);
-        st.latencyP95S = nearestRankPercentile(latenciesS, 0.95);
-        st.latencyP99S = nearestRankPercentile(latenciesS, 0.99);
-        st.txLatenciesS = latenciesS;
+    if (!w.txLatenciesS.empty()) {
+        std::sort(w.txLatenciesS.begin(), w.txLatenciesS.end());
+        st.latencyP50S = nearestRankPercentile(w.txLatenciesS, 0.50);
+        st.latencyP95S = nearestRankPercentile(w.txLatenciesS, 0.95);
+        st.latencyP99S = nearestRankPercentile(w.txLatenciesS, 0.99);
+        st.txLatenciesS = std::move(w.txLatenciesS);
     }
     st.eventsExecuted = simulator.eventsExecuted();
-    if (completedWireBits > 0)
+    if (w.completedWireBits > 0)
         st.eventsPerBit = static_cast<double>(st.eventsExecuted) /
-                          static_cast<double>(completedWireBits);
+                          static_cast<double>(w.completedWireBits);
     st.trainEdges = simulator.queue().trainEdgesDelivered();
     st.trainsScheduled = simulator.queue().trainsScheduled();
     st.dispatchCalls = backend->dispatchCalls();
@@ -324,18 +357,15 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     // Fault and recovery reduction (all-zero with faults off).
     st.faultEvents = faultEngine ? faultEngine->injected() : 0;
     st.busResets = backend->busResets();
-    st.retries = retryStats.retries;
-    st.recoveredTx = retryStats.recoveredTx;
-    st.abandonedTx = retryStats.abandonedTx;
-    if (!retryStats.recoveryS.empty()) {
-        std::sort(retryStats.recoveryS.begin(),
-                  retryStats.recoveryS.end());
-        st.recoveryP50S =
-            nearestRankPercentile(retryStats.recoveryS, 0.50);
-        st.recoveryP95S =
-            nearestRankPercentile(retryStats.recoveryS, 0.95);
-        st.recoveryP99S =
-            nearestRankPercentile(retryStats.recoveryS, 0.99);
+    st.retries = w.retry.retries;
+    st.recoveredTx = w.retry.recoveredTx;
+    st.abandonedTx = w.retry.abandonedTx;
+    std::vector<double> &recovery = w.retry.recoveryS;
+    if (!recovery.empty()) {
+        std::sort(recovery.begin(), recovery.end());
+        st.recoveryP50S = nearestRankPercentile(recovery, 0.50);
+        st.recoveryP95S = nearestRankPercentile(recovery, 0.95);
+        st.recoveryP99S = nearestRankPercentile(recovery, 0.99);
     }
 
     // Cross-backend headline numbers: energy per delivered sample
@@ -406,122 +436,6 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     }
     return st;
 }
-
-namespace {
-
-/** The pre-workload traffic driver: one planned message at a time
- *  from the makePlan() stream, with delivery integrity checking. */
-void
-runClassicTraffic(const ScenarioSpec &spec,
-                  backend::BusBackend &backend,
-                  sim::Simulator &simulator, ScenarioStats &st,
-                  fault::RetryStats &retryStats, int &done,
-                  sim::SimTime &lastCompletion, double &latencySumS,
-                  std::vector<double> &latenciesS,
-                  std::uint64_t &completedWireBits)
-{
-    st.planned = spec.messages;
-    auto plan = makePlan(spec, backend, simulator.rng());
-
-    // Delivery integrity: every issued payload is registered as
-    // expected (n-1 copies for broadcasts) and each complete delivery
-    // must consume one registered copy. A completion callback can run
-    // before the receiver's delivery at the same timestamp, so the
-    // check cannot key on "the message currently in flight".
-    std::multiset<std::vector<std::uint8_t>> expected;
-    backend.setDeliveryHandler(
-        [&](std::size_t, const bus::ReceivedMessage &rx) {
-            if (rx.interjected) {
-                ++st.deliveredInterrupted;
-                return; // Truncated by design; content untrusted.
-            }
-            if (rx.error == bus::LocalError::RecvOverflow)
-                ++st.deliveredOverflow;
-            else if (rx.error == bus::LocalError::None)
-                ++st.deliveredOk;
-            st.bytesDelivered += rx.payload.size();
-            auto it = expected.find(rx.payload);
-            if (it == expected.end())
-                ++st.payloadMismatches;
-            else
-                expected.erase(it);
-        });
-
-    sim::SimTime issuedAt = 0;
-    latenciesS.reserve(static_cast<std::size_t>(spec.messages));
-
-    std::function<void()> issueNext = [&] {
-        if (done >= spec.messages)
-            return;
-        const PlannedTx &tx = plan[static_cast<std::size_t>(done)];
-        int copies =
-            tx.broadcast ? std::max(spec.nodes - 1, 1) : 1;
-        for (int c = 0; c < copies; ++c)
-            expected.insert(tx.payload);
-        issuedAt = simulator.now();
-        bus::Message msg;
-        msg.dest = tx.dest;
-        msg.payload = tx.payload;
-        msg.priority = tx.priority;
-        if (tx.interject) {
-            // Storm: a third party cuts the message after a fraction
-            // of its modelled duration, timed on the clock the
-            // fabric actually runs (clamped fabrics run slower than
-            // the spec requests).
-            sim::SimTime period =
-                sim::periodFromHz(backend.busClockHz());
-            auto cycles = static_cast<double>(msg.totalCycles());
-            auto delay = static_cast<sim::SimTime>(
-                tx.interjectFrac * cycles * static_cast<double>(period));
-            std::size_t who = tx.interjector;
-            simulator.schedule(delay,
-                               [&backend, who] { backend.interject(who); });
-        }
-        int wireBits = tx.wireBits;
-        // With a retry policy the callback sees only the *terminal*
-        // result of the attempt chain; disabled, this is a plain
-        // backend.send().
-        fault::sendWithRetry(
-            backend, simulator, tx.sender, std::move(msg), spec.retry,
-            retryStats, [&, wireBits](const bus::TxResult &r) {
-            switch (r.status) {
-            case bus::TxStatus::Ack: ++st.acked; break;
-            case bus::TxStatus::Nak: ++st.naked; break;
-            case bus::TxStatus::Broadcast: ++st.broadcasts; break;
-            case bus::TxStatus::Interrupted: ++st.interrupted; break;
-            case bus::TxStatus::RxAbort: ++st.rxAborts; break;
-            case bus::TxStatus::Reset:
-                ++st.failed;
-                ++st.txResets;
-                break;
-            default: ++st.failed; break;
-            }
-            if (r.status == bus::TxStatus::Ack ||
-                r.status == bus::TxStatus::Broadcast)
-                completedWireBits +=
-                    static_cast<std::uint64_t>(wireBits);
-            st.arbitrationRetries += r.arbitrationRetries;
-            lastCompletion = r.completedAt;
-            double lat = sim::toSeconds(r.completedAt - issuedAt);
-            latencySumS += lat;
-            latenciesS.push_back(lat);
-            if (done == 0)
-                st.firstTxLatencyS = lat;
-            ++done;
-            issueNext();
-        });
-    };
-
-    if (spec.messages > 0)
-        issueNext();
-    bool finished = simulator.runUntil(
-        [&] { return done >= spec.messages; }, spec.timeLimit);
-    bool idle = backend.runUntilIdle(sim::kSecond);
-    st.wedged = !finished || !idle;
-    backend.setDeliveryHandler(nullptr);
-}
-
-} // namespace
 
 } // namespace sweep
 } // namespace mbus

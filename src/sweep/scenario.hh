@@ -26,6 +26,7 @@
 #include "fault/fault.hh"
 #include "fault/retry.hh"
 #include "sim/hash.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
@@ -244,15 +245,8 @@ fnv1a(const void *data, std::size_t len,
     return sim::fnv1a(data, len, basis);
 }
 
-/**
- * Nearest-rank percentile over an ascending-sorted sample: the
- * definition both per-cell stats and the sweep aggregate use.
- *
- * @param sorted Non-empty, ascending.
- * @param q Quantile in (0, 1].
- */
-double nearestRankPercentile(const std::vector<double> &sorted,
-                             double q);
+/** The percentile both per-cell stats and the sweep aggregate use. */
+using sim::nearestRankPercentile;
 
 } // namespace sweep
 } // namespace mbus

@@ -1,7 +1,6 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <map>
 #include <set>
@@ -10,23 +9,12 @@
 #include "mbus/layer_controller.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/stats.hh"
 
 namespace mbus {
 namespace workload {
 
 namespace {
-
-/** Nearest-rank percentile, the same definition the sweep reducers
- *  use (sweep::nearestRankPercentile; duplicated locally to keep the
- *  workload -> sweep dependency one-directional). */
-double
-percentile(const std::vector<double> &sorted, double q)
-{
-    std::size_t n = sorted.size();
-    std::size_t i = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    return sorted[(i == 0 ? 1 : i) - 1];
-}
 
 /** Tracks one in-flight sample (a frame's fragments). */
 struct SampleState
@@ -47,7 +35,6 @@ struct RunState
     const std::vector<PlannedOp> *plan = nullptr;
 
     WorkloadRunStats stats;
-    fault::RetryStats retry; ///< Pooled over every actor's policy.
     std::vector<bool> offline; ///< Faulted or gate-windowed, by node.
     std::vector<std::uint64_t> nodeBytesIssued;
     std::multiset<std::vector<std::uint8_t>> expected;
@@ -55,7 +42,6 @@ struct RunState
     std::map<std::uint64_t, SampleState> samples;
     std::size_t next = 0; ///< Plan cursor.
     int outstanding = 0;  ///< Issued sends awaiting a terminal status.
-    bool sawFirstCompletion = false;
 
     void pump();
     void exec(const PlannedOp &op);
@@ -180,46 +166,17 @@ RunState::execSend(const PlannedOp &op)
     // invisible here; disabled, this is a plain backend->send().
     fault::sendWithRetry(
         *backend, *simulator, op.node, std::move(msg), aspec.retry,
-        retry,
+        stats.retry,
         [this, op, issuedAt, wireBits, dutyCycled, node,
          key](const bus::TxResult &r) {
             --outstanding;
             ActorStats &a = stats.actors[static_cast<std::size_t>(
                 op.actor)];
-            bool ok = r.status == bus::TxStatus::Ack ||
-                      r.status == bus::TxStatus::Broadcast;
-            switch (r.status) {
-            case bus::TxStatus::Ack: ++stats.acked; break;
-            case bus::TxStatus::Nak: ++stats.naked; break;
-            case bus::TxStatus::Broadcast: ++stats.broadcasts; break;
-            case bus::TxStatus::Interrupted:
-                ++stats.interrupted;
-                break;
-            case bus::TxStatus::RxAbort: ++stats.rxAborts; break;
-            case bus::TxStatus::Reset:
-                ++stats.failed;
-                ++stats.txResets;
-                break;
-            default: ++stats.failed; break;
-            }
-            if (ok) {
+            bool ok = stats.recordTerminal(r, issuedAt, wireBits);
+            if (ok)
                 ++a.acked;
-                stats.completedWireBits +=
-                    static_cast<std::uint64_t>(wireBits);
-            } else {
+            else
                 ++a.otherTerminal;
-            }
-            stats.arbitrationRetries += r.arbitrationRetries;
-            stats.lastCompletion =
-                std::max(stats.lastCompletion, r.completedAt);
-
-            double lat = sim::toSeconds(r.completedAt - issuedAt);
-            stats.latencySumS += lat;
-            stats.txLatenciesS.push_back(lat);
-            if (!sawFirstCompletion) {
-                sawFirstCompletion = true;
-                stats.firstTxLatencyS = lat;
-            }
 
             auto it = samples.find(key);
             if (it != samples.end()) {
@@ -266,20 +223,8 @@ RunState::finishSample(const PlannedOp &op, SampleState &ss)
 void
 RunState::onDelivery(const bus::ReceivedMessage &rx)
 {
-    if (rx.interjected) {
-        ++stats.deliveredInterrupted;
-        return; // Truncated by design; content untrusted.
-    }
-    if (rx.error == bus::LocalError::RecvOverflow)
-        ++stats.deliveredOverflow;
-    else if (rx.error == bus::LocalError::None)
-        ++stats.deliveredOk;
-    stats.bytesDelivered += rx.payload.size();
-    auto it = expected.find(rx.payload);
-    if (it == expected.end())
-        ++stats.payloadMismatches;
-    else
-        expected.erase(it);
+    if (!stats.recordDelivery(rx, expected))
+        return;
     if (!rx.payload.empty()) {
         std::size_t tag = rx.payload[0];
         if (tag >= 1 && tag <= stats.actors.size())
@@ -355,9 +300,10 @@ WorkloadEngine::drive(backend::BusBackend &backend,
         std::sort(as.sampleLatenciesS.begin(),
                   as.sampleLatenciesS.end());
         if (!as.sampleLatenciesS.empty()) {
-            as.latencyP50S = percentile(as.sampleLatenciesS, 0.50);
-            as.latencyP95S = percentile(as.sampleLatenciesS, 0.95);
-            as.latencyP99S = percentile(as.sampleLatenciesS, 0.99);
+            const std::vector<double> &lat = as.sampleLatenciesS;
+            as.latencyP50S = sim::nearestRankPercentile(lat, 0.50);
+            as.latencyP95S = sim::nearestRankPercentile(lat, 0.95);
+            as.latencyP99S = sim::nearestRankPercentile(lat, 0.99);
         }
         auto node = static_cast<std::size_t>(as.node);
         if (as.samplesDelivered > 0 && rs.nodeBytesIssued[node] > 0) {
@@ -373,11 +319,60 @@ WorkloadEngine::drive(backend::BusBackend &backend,
             as.dutyCycle = backend.poweredSeconds(node) / simS;
     }
 
-    rs.stats.retries = rs.retry.retries;
-    rs.stats.recoveredTx = rs.retry.recoveredTx;
-    rs.stats.abandonedTx = rs.retry.abandonedTx;
-    rs.stats.recoveryS = std::move(rs.retry.recoveryS);
     return rs.stats;
+}
+
+bool
+WorkloadRunStats::recordTerminal(const bus::TxResult &r,
+                                 sim::SimTime issuedAt, int wireBits)
+{
+    switch (r.status) {
+    case bus::TxStatus::Ack: ++acked; break;
+    case bus::TxStatus::Nak: ++naked; break;
+    case bus::TxStatus::Broadcast: ++broadcasts; break;
+    case bus::TxStatus::Interrupted: ++interrupted; break;
+    case bus::TxStatus::RxAbort: ++rxAborts; break;
+    case bus::TxStatus::Reset:
+        ++failed;
+        ++txResets;
+        break;
+    default: ++failed; break;
+    }
+    bool ok = r.status == bus::TxStatus::Ack ||
+              r.status == bus::TxStatus::Broadcast;
+    if (ok)
+        completedWireBits += static_cast<std::uint64_t>(wireBits);
+    arbitrationRetries += r.arbitrationRetries;
+    lastCompletion = std::max(lastCompletion, r.completedAt);
+
+    double lat = sim::toSeconds(r.completedAt - issuedAt);
+    if (txLatenciesS.empty())
+        firstTxLatencyS = lat;
+    latencySumS += lat;
+    txLatenciesS.push_back(lat);
+    return ok;
+}
+
+bool
+WorkloadRunStats::recordDelivery(
+    const bus::ReceivedMessage &rx,
+    std::multiset<std::vector<std::uint8_t>> &expected)
+{
+    if (rx.interjected) {
+        ++deliveredInterrupted;
+        return false;
+    }
+    if (rx.error == bus::LocalError::RecvOverflow)
+        ++deliveredOverflow;
+    else if (rx.error == bus::LocalError::None)
+        ++deliveredOk;
+    bytesDelivered += rx.payload.size();
+    auto it = expected.find(rx.payload);
+    if (it == expected.end())
+        ++payloadMismatches;
+    else
+        expected.erase(it);
+    return true;
 }
 
 } // namespace workload

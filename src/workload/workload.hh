@@ -35,6 +35,7 @@
 #define MBUS_WORKLOAD_WORKLOAD_HH
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -213,12 +214,17 @@ struct ActorStats
     double dutyCycle = 0;
 };
 
-/** Whole-run reduction the scenario layer folds into its stats. */
+/**
+ * Whole-run reduction the scenario layer folds into its stats. Both
+ * traffic drivers -- the workload engine and the scenario layer's
+ * classic one-message-at-a-time driver -- fill one in, through the
+ * same terminal-outcome and delivery-integrity helpers.
+ */
 struct WorkloadRunStats
 {
     std::vector<ActorStats> actors;
 
-    // Terminal outcome counts over actor fragments (the scenario
+    // Terminal outcome counts over planned messages (the scenario
     // invariant planned == sum(outcomes) holds over these).
     int planned = 0;
     int acked = 0;
@@ -247,12 +253,8 @@ struct WorkloadRunStats
 
     // Physical-fault recovery bookkeeping (zero unless an actor has
     // a retry policy and/or the fabric Reset-kills transfers).
-    int txResets = 0;          ///< Fragments killed with Reset
-                               ///< (also counted in `failed`).
-    std::uint64_t retries = 0; ///< Re-sends the retry policies issued.
-    int recoveredTx = 0;       ///< Failed at least once, delivered.
-    int abandonedTx = 0;       ///< Retries exhausted, still failed.
-    std::vector<double> recoveryS; ///< Per-recovery latencies.
+    int txResets = 0; ///< Killed with Reset (also counted `failed`).
+    fault::RetryStats retry; ///< Pooled over every retry policy.
 
     // Delivery-side outcome counts (pipe-packed sweep column).
     int deliveredOk = 0;
@@ -266,6 +268,33 @@ struct WorkloadRunStats
     sim::SimTime lastCompletion = 0;
 
     bool wedged = false;
+
+    /**
+     * Fold in one message's terminal result: exactly one outcome
+     * counter moves (Reset counts as `failed` and `txResets`), a
+     * delivered message credits its wire bits, and its latency is
+     * pooled. The one-terminal-status rule lives here.
+     *
+     * @param issuedAt When the message was handed to the bus.
+     * @param wireBits Data bits the message occupies on the wire.
+     * @return true when the message was delivered (Ack/Broadcast).
+     */
+    bool recordTerminal(const bus::TxResult &r, sim::SimTime issuedAt,
+                        int wireBits);
+
+    /**
+     * Delivery integrity: every issued payload is registered in
+     * @p expected (one copy per receiver) and each complete delivery
+     * must consume one copy; a delivery that finds none counts as a
+     * payload mismatch. A completion callback can run before the
+     * receiver's delivery at the same timestamp, so the check cannot
+     * key on "the message currently in flight".
+     *
+     * @return false for an interjected delivery: truncated by design,
+     *         its content is untrusted and left unchecked.
+     */
+    bool recordDelivery(const bus::ReceivedMessage &rx,
+                        std::multiset<std::vector<std::uint8_t>> &expected);
 };
 
 /** Schedule streams split from this base (actors use 1 + stream). */
