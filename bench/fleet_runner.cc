@@ -25,6 +25,7 @@
  * printed either way, so a resumed run can be compared by eye).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -146,6 +147,28 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(st.cellsTotal),
                 static_cast<unsigned long long>(
                     fr.result.fingerprint()));
+    // Amdahl ceiling: no fleet finishes before its costliest cell, so
+    // summed cell events over the largest bound what any worker count
+    // can gain on this grid.
+    std::uint64_t totalEvents = 0;
+    const sweep::CellResult *straggler = nullptr;
+    for (const sweep::CellResult &c : fr.result.cells()) {
+        totalEvents += c.stats.eventsExecuted;
+        if (!straggler ||
+            c.stats.eventsExecuted > straggler->stats.eventsExecuted)
+            straggler = &c;
+    }
+    if (straggler && straggler->stats.eventsExecuted > 0)
+        std::printf("amdahl ceiling %.2fx (%llu events / %llu in "
+                    "straggler cell %llu %s)\n",
+                    static_cast<double>(totalEvents) /
+                        static_cast<double>(
+                            straggler->stats.eventsExecuted),
+                    static_cast<unsigned long long>(totalEvents),
+                    static_cast<unsigned long long>(
+                        straggler->stats.eventsExecuted),
+                    static_cast<unsigned long long>(straggler->index),
+                    straggler->spec.name.c_str());
     std::printf("simulated=%llu cache hit/miss=%llu/%llu "
                 "journal-recovered=%llu stolen=%llu deaths=%llu "
                 "spawned=%llu%s\n",

@@ -217,6 +217,10 @@ class BusBackend
     /** Watchdog force-resets issued so far. */
     virtual std::uint64_t busResets() const { return 0; }
 
+    /** Runaway messages cut at the maximum message length (MBus
+     *  Sec 7) so far. */
+    virtual std::uint64_t runawayKills() const { return 0; }
+
     // --- Delivery tap -------------------------------------------------
 
     /** Install (or clear, with nullptr) the unified delivery tap. */

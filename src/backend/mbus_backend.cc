@@ -1,6 +1,7 @@
 #include "backend/mbus_backend.hh"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "bitbang/bitbang_mbus.hh"
@@ -259,6 +260,12 @@ MbusBackend::clockCycles() const
 }
 
 std::uint64_t
+MbusBackend::runawayKills() const
+{
+    return system_->mediator().stats().watchdogKills;
+}
+
+std::uint64_t
 MbusBackend::dispatchCalls() const
 {
     return system_->dispatchCalls();
@@ -432,27 +439,72 @@ MbusBackend::watchdogPoll()
     // what clocks it back to idle) -- or the watchdog would never
     // reclaim exactly the hangs it exists for.
     bool busy = !system_->idle();
-    // Two stall shapes, both needing two consecutive busy polls:
-    // frozen CLK (broken ring, dead transmitter), and CLK edges
-    // arriving while the mediator sleeps -- a glitch pulse orbiting
-    // the forwarding ring, clocking phantom bits into every FSM. No
-    // transaction can make real progress without the mediator, so a
-    // sleeping mediator over two whole poll intervals is a stall no
-    // matter what the edge counter does. Reclaim via the Sec 4.9
-    // rescue path (full interjection + general error).
+    // Three stall shapes, each needing two consecutive busy polls:
+    //  - frozen CLK (broken ring, dead transmitter);
+    //  - CLK edges arriving while the mediator sleeps: a glitch pulse
+    //    orbiting the forwarding ring, clocking phantom bits into
+    //    every FSM. No transaction can make real progress without
+    //    the mediator, whatever the edge counter does;
+    //  - the mediator clocking a transaction nobody owns: a fault
+    //    desynchronized the members (a glitch read as an
+    //    interjection, a phantom address phase), so no transmitter
+    //    will ever end the message and only the Sec 7 runaway limit,
+    //    8192 cycles later, would.
+    // Reclaim via the Sec 4.9 rescue path (full interjection +
+    // general error).
     bool asleep = system_->mediator().asleep();
-    if (busy && wdLastBusy_ &&
-        (progress == wdLastProgress_ || (asleep && wdLastAsleep_))) {
-        ++busResets_;
-        if (auto *t = system_->simulator().tracer())
-            t->record(trace::EventKind::WatchdogRescue, 0,
-                      static_cast<std::int64_t>(busResets_));
-        system_->mediator().forceInterjection();
+    bool noOwner = clockingWithNoOwner();
+    if (busy && wdLastBusy_) {
+        std::optional<trace::StallRule> rule;
+        if (progress == wdLastProgress_)
+            rule = trace::StallRule::FrozenClock;
+        else if (asleep && wdLastAsleep_)
+            rule = trace::StallRule::SleepingMediator;
+        else if (noOwner && wdLastNoOwner_)
+            rule = trace::StallRule::NoOwner;
+        if (rule) {
+            ++busResets_;
+            if (auto *t = system_->simulator().tracer())
+                t->record(trace::EventKind::WatchdogRescue, 0,
+                          static_cast<std::int64_t>(busResets_),
+                          static_cast<std::int32_t>(*rule));
+            system_->mediator().forceInterjection();
+        }
     }
     wdLastBusy_ = busy;
     wdLastAsleep_ = asleep;
+    wdLastNoOwner_ = noOwner;
     wdLastProgress_ = progress;
     scheduleWatchdogPoll();
+}
+
+bool
+MbusBackend::clockingWithNoOwner() const
+{
+    bus::MBusSystem &sys = *system_;
+    if (sys.mediator().state() != bus::Mediator::State::Clocking)
+        return false;
+    using Phase = bus::BusController::Phase;
+    using Role = bus::BusController::Role;
+    const bus::SoftMember *soft = sys.softMember();
+    bool owned = soft && soft->transmitting();
+    bool arbitrating = false;
+    for (std::size_t i = 0; i < sys.nodeCount(); ++i) {
+        bus::Node &n = sys.node(i);
+        const bus::BusController &bc = n.busController();
+        // A member waiting on, or running, control cycles the
+        // mediator never began.
+        if (bc.phase() == Phase::IntjWait || bc.phase() == Phase::Control)
+            return true;
+        owned = owned || bc.role() == Role::Tx;
+        // Roles settle on the third rising edge; until then nobody
+        // can own the transaction yet. (A member woken later never
+        // takes a role in this transaction at all.)
+        arbitrating = arbitrating ||
+                      (bc.phase() == Phase::Active &&
+                       n.sleepController().risingCount() < 3);
+    }
+    return !owned && !arbitrating;
 }
 
 } // namespace backend

@@ -82,6 +82,7 @@ class MbusBackend final : public BusBackend
     void brownoutRecover(std::size_t node) override;
     void armWatchdog(std::uint32_t epochs) override;
     std::uint64_t busResets() const override { return busResets_; }
+    std::uint64_t runawayKills() const override;
 
     void setDeliveryHandler(DeliveryHandler h) override;
 
@@ -125,6 +126,8 @@ class MbusBackend final : public BusBackend
     int &forceDepth(std::size_t node, int slot);
     void scheduleWatchdogPoll();
     void watchdogPoll();
+    /** The mediator clocks, but no member owns the transaction. */
+    bool clockingWithNoOwner() const;
 
     BackendKind kind_;
     std::unique_ptr<bus::MBusSystem> system_;
@@ -137,6 +140,7 @@ class MbusBackend final : public BusBackend
     std::uint64_t wdLastProgress_ = 0;
     bool wdLastBusy_ = false;
     bool wdLastAsleep_ = false;
+    bool wdLastNoOwner_ = false;
 };
 
 } // namespace backend

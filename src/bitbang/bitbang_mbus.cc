@@ -155,6 +155,54 @@ BitbangMbus::onDataEdge(bool level)
     sim_.scheduleEdge(done - sim_.now(), dataRetire_, level);
 }
 
+
+void
+BitbangMbus::finishTx(bool bit1)
+{
+    auto tx = std::move(txQueue_.front());
+    txQueue_.pop_front();
+    ++stats_.messagesSent;
+    bus::TxResult result;
+    // {1,0} ACK, {1,1} NAK, {0,1} interrupted by a third party, {0,0}
+    // general error -- the hardware controller's code points. A local
+    // error (data synch) trumps the wire bits, and broadcasts have no
+    // single ACKer.
+    bool broadcast = tx.msg.dest.isBroadcast();
+    if (txError_ != bus::LocalError::None) {
+        result.status = bus::TxStatus::GeneralError;
+        result.error = txError_;
+    } else if (ctlBit0_) {
+        result.status = broadcast ? bus::TxStatus::Broadcast
+                        : (!bit1 ? bus::TxStatus::Ack : bus::TxStatus::Nak);
+    } else if (bit1) {
+        result.status = bus::TxStatus::Interrupted;
+        result.error = bus::LocalError::Interrupted;
+    } else {
+        result.status = bus::TxStatus::GeneralError;
+    }
+    if (result.status == bus::TxStatus::Ack ||
+        result.status == bus::TxStatus::Nak ||
+        result.status == bus::TxStatus::Broadcast) {
+        result.bytesSent = tx.msg.payload.size();
+    } else {
+        // Complete payload bytes that made it out before the cut
+        // (address bits excluded).
+        auto addrBits = static_cast<std::uint32_t>(tx.msg.dest.bitCount());
+        result.bytesSent =
+            txBitsDriven_ > addrBits ? (txBitsDriven_ - addrBits) / 8 : 0;
+    }
+    result.arbitrationRetries = tx.attempts > 0 ? tx.attempts - 1 : 0;
+    result.completedAt = sim_.now();
+    if (auto *t = sim_.tracer())
+        t->endTx(static_cast<int>(cfg_.shortPrefix) - 1,
+                 static_cast<std::int64_t>(result.status),
+                 static_cast<std::int32_t>(result.bytesSent));
+    if (tx.cb) {
+        auto cb = std::move(tx.cb);
+        sim_.schedule(0, [cb, result] { cb(result); });
+    }
+}
+
 void
 BitbangMbus::clkIsrBody(bool level)
 {
@@ -200,65 +248,8 @@ BitbangMbus::clkIsrBody(bool level)
                 ctlBit0_ = dataIn_.value();
             } else if (rc == 3) {
                 bool bit1 = dataIn_.value();
-                if (role_ == Role::Tx && !txQueue_.empty()) {
-                    auto tx = std::move(txQueue_.front());
-                    txQueue_.pop_front();
-                    ++stats_.messagesSent;
-                    if (tx.cb) {
-                        bus::TxResult result;
-                        // {1,0} ACK, {1,1} NAK, {0,1} interrupted by
-                        // a third party, {0,0} general error -- the
-                        // hardware controller's code points. A local
-                        // error (data synch) trumps the wire bits,
-                        // and broadcasts have no single ACKer.
-                        bool broadcast = tx.msg.dest.isBroadcast();
-                        if (txError_ != bus::LocalError::None) {
-                            result.status = bus::TxStatus::GeneralError;
-                            result.error = txError_;
-                        } else if (ctlBit0_) {
-                            result.status =
-                                broadcast
-                                    ? bus::TxStatus::Broadcast
-                                    : (!bit1 ? bus::TxStatus::Ack
-                                             : bus::TxStatus::Nak);
-                        } else if (bit1) {
-                            result.status = bus::TxStatus::Interrupted;
-                            result.error = bus::LocalError::Interrupted;
-                        } else {
-                            result.status = bus::TxStatus::GeneralError;
-                        }
-                        if (result.status == bus::TxStatus::Ack ||
-                            result.status == bus::TxStatus::Nak ||
-                            result.status == bus::TxStatus::Broadcast) {
-                            result.bytesSent = tx.msg.payload.size();
-                        } else {
-                            // Complete payload bytes that made it out
-                            // before the cut (address bits excluded).
-                            std::uint32_t addrBits =
-                                static_cast<std::uint32_t>(
-                                    tx.msg.dest.bitCount());
-                            result.bytesSent =
-                                txBitsDriven_ > addrBits
-                                    ? (txBitsDriven_ - addrBits) / 8
-                                    : 0;
-                        }
-                        result.arbitrationRetries =
-                            tx.attempts > 0 ? tx.attempts - 1 : 0;
-                        result.completedAt = sim_.now();
-                        if (auto *t = sim_.tracer())
-                            t->endTx(
-                                static_cast<int>(cfg_.shortPrefix) - 1,
-                                static_cast<std::int64_t>(
-                                    result.status),
-                                static_cast<std::int32_t>(
-                                    result.bytesSent));
-                        auto cb = std::move(tx.cb);
-                        sim_.schedule(0, [cb, result] { cb(result); });
-                    } else if (auto *t = sim_.tracer()) {
-                        t->endTx(
-                            static_cast<int>(cfg_.shortPrefix) - 1, -1);
-                    }
-                }
+                if (role_ == Role::Tx && !txQueue_.empty())
+                    finishTx(bit1);
                 if (role_ == Role::Rx && rxCb_) {
                     // Deliver on clean EoM, and on an abort code
                     // ({0,1}) when bytes already landed -- flagged, so

@@ -116,6 +116,8 @@ class BitbangMbus final : public bus::SoftMember,
         return phase_ == Phase::Idle && txQueue_.empty();
     }
 
+    bool transmitting() const override { return role_ == Role::Tx; }
+
   private:
     /** Edge-interrupt entry for both input pins (wire::EdgeListener). */
     void onNetEdge(wire::Net &net, bool value) override;
@@ -150,6 +152,8 @@ class BitbangMbus final : public bus::SoftMember,
      *  control sequence. @p eom true for a clean end-of-message,
      *  false when cutting the message short (error interjection). */
     void requestInterjection(bool eom);
+    /** Resolve the transmitted message from the control bits. */
+    void finishTx(bool bit1);
 
     /** Pooled retirement sinks: ISR completions ride the kernel's
      *  allocation-free edge path (and, for CLK, its train path)

@@ -110,8 +110,11 @@ FirmwareNode::runIsr(Pin pin, bool level)
             --clkIsrPending_;
         inClkIsr_ = true;
         latchedClk_ = level;
+        const bool wasTx = fsm_->txActive();
         fsm_->MBus_CLKIN_int_handler();
         inClkIsr_ = false;
+        if (!wasTx && fsm_->txActive() && !txQueue_.empty())
+            traceArbWin();
     } else {
         if (dataIsrPending_ > 0)
             --dataIsrPending_;
@@ -213,12 +216,23 @@ FirmwareNode::pumpSend()
     PendingTx &front = txQueue_.front();
     ++front.attempts;
     ++stats_.requestsIssued;
-    if (auto *t = sim_.tracer())
-        t->beginTx(static_cast<int>(cfg_.shortPrefix) - 1,
-                   front.msg.dest.encoded(),
-                   static_cast<std::int32_t>(front.msg.payload.size()));
     fsm_->MBus_send(front.wire.data(), front.wire.size(),
                     front.msg.priority);
+}
+
+void
+FirmwareNode::traceArbWin()
+{
+    // Spans bracket won arbitrations, as on the chips: a request the
+    // ring squashed or outranked never opens one.
+    if (auto *t = sim_.tracer()) {
+        const bus::Message &m = txQueue_.front().msg;
+        const int node = static_cast<int>(cfg_.shortPrefix) - 1;
+        t->beginTx(node, m.dest.encoded(),
+                   static_cast<std::int32_t>(m.payload.size()));
+        t->record(trace::EventKind::ArbWin, node,
+                  fsm_->wonPriority() ? 1 : 0);
+    }
 }
 
 void
@@ -234,59 +248,52 @@ FirmwareNode::onSendDone(std::size_t bytesSent, MBus_error_t err,
     if (err != MBUS_NO_ERROR)
         ++stats_.localErrors;
 
-    if (tx.cb) {
-        bus::TxResult result;
-        bool broadcast = tx.msg.dest.isBroadcast();
-        bool cb0 = fsm_->ctlBit0();
-        bool cb1 = fsm_->ctlBit1();
-        switch (err) {
-          case MBUS_DATA_SYNCH_ERROR:
-            result.status = bus::TxStatus::GeneralError;
-            result.error = bus::LocalError::DataSynch;
-            break;
-          case MBUS_CLOCK_SYNCH_ERROR:
-            result.status = bus::TxStatus::GeneralError;
-            result.error = bus::LocalError::ClockSynch;
-            break;
-          case MBUS_INTERRUPTED:
-            result.status = bus::TxStatus::Interrupted;
-            result.error = bus::LocalError::Interrupted;
-            break;
-          default:
-            if (cb0) {
-                result.status = broadcast
-                                    ? bus::TxStatus::Broadcast
-                                    : (cb1 ? bus::TxStatus::Nak
-                                           : bus::TxStatus::Ack);
-            } else {
-                // {0,0}: mediator-signalled general error.
-                result.status = bus::TxStatus::GeneralError;
-            }
-            break;
-        }
-        if (result.status == bus::TxStatus::Ack ||
-            result.status == bus::TxStatus::Nak ||
-            result.status == bus::TxStatus::Broadcast) {
-            result.bytesSent = tx.msg.payload.size();
+    bus::TxResult result;
+    bool broadcast = tx.msg.dest.isBroadcast();
+    bool cb0 = fsm_->ctlBit0();
+    bool cb1 = fsm_->ctlBit1();
+    switch (err) {
+      case MBUS_DATA_SYNCH_ERROR:
+        result.status = bus::TxStatus::GeneralError;
+        result.error = bus::LocalError::DataSynch;
+        break;
+      case MBUS_CLOCK_SYNCH_ERROR:
+        result.status = bus::TxStatus::GeneralError;
+        result.error = bus::LocalError::ClockSynch;
+        break;
+      case MBUS_INTERRUPTED:
+        result.status = bus::TxStatus::Interrupted;
+        result.error = bus::LocalError::Interrupted;
+        break;
+      default:
+        if (cb0) {
+            result.status = broadcast ? bus::TxStatus::Broadcast
+                            : (cb1 ? bus::TxStatus::Nak : bus::TxStatus::Ack);
         } else {
-            // The firmware reports complete buffer bytes driven;
-            // strip the address byte(s) to get payload bytes.
-            std::size_t addrBytes =
-                static_cast<std::size_t>(tx.msg.dest.bitCount() / 8);
-            result.bytesSent =
-                bytesSent > addrBytes ? bytesSent - addrBytes : 0;
+            // {0,0}: mediator-signalled general error.
+            result.status = bus::TxStatus::GeneralError;
         }
-        result.arbitrationRetries =
-            tx.attempts > 0 ? tx.attempts - 1 : 0;
-        result.completedAt = sim_.now();
-        if (auto *t = sim_.tracer())
-            t->endTx(static_cast<int>(cfg_.shortPrefix) - 1,
-                     static_cast<std::int64_t>(result.status),
-                     static_cast<std::int32_t>(result.bytesSent));
-        tx.cb(result);
-    } else if (auto *t = sim_.tracer()) {
-        t->endTx(static_cast<int>(cfg_.shortPrefix) - 1, -1);
+        break;
     }
+    if (result.status == bus::TxStatus::Ack ||
+        result.status == bus::TxStatus::Nak ||
+        result.status == bus::TxStatus::Broadcast) {
+        result.bytesSent = tx.msg.payload.size();
+    } else {
+        // The firmware reports complete buffer bytes driven; strip
+        // the address byte(s) to get payload bytes.
+        std::size_t addrBytes =
+            static_cast<std::size_t>(tx.msg.dest.bitCount() / 8);
+        result.bytesSent = bytesSent > addrBytes ? bytesSent - addrBytes : 0;
+    }
+    result.arbitrationRetries = tx.attempts > 0 ? tx.attempts - 1 : 0;
+    result.completedAt = sim_.now();
+    if (auto *t = sim_.tracer())
+        t->endTx(static_cast<int>(cfg_.shortPrefix) - 1,
+                 static_cast<std::int64_t>(result.status),
+                 static_cast<std::int32_t>(result.bytesSent));
+    if (tx.cb)
+        tx.cb(result);
 }
 
 void

@@ -132,6 +132,8 @@ class FirmwareNode final : public bus::SoftMember,
                !fsm_->eventsPending();
     }
 
+    bool transmitting() const override { return fsm_->txActive(); }
+
     /** The ported FSM, for tests and introspection. */
     const LibMbus &fsm() const { return *fsm_; }
 
@@ -142,6 +144,7 @@ class FirmwareNode final : public bus::SoftMember,
     void onEdge(Pin pin, bool level);
     void runIsr(Pin pin, bool level);
     void afterIsr();
+    void traceArbWin();
     void drainRun();
     void pumpSend();
 

@@ -169,6 +169,7 @@ class LibMbus
     MBus_error_t error() const { return error_; }
     bool txPending() const { return tx_buf != nullptr; }
     bool txActive() const { return tx_active; }
+    bool wonPriority() const { return won_priority; }
     bool requesting() const
     {
         return state_ == MBUS_STATE_IDLE &&

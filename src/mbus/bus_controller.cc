@@ -80,7 +80,7 @@ BusController::onPowerLost()
     // that by resetting the FSM. The TX queue conceptually lives in
     // the layer (it re-arms the controller), so it survives.
     phase_ = Phase::Idle;
-    role_ = Role::None;
+    dropRole();
     txArmed_ = false;
     requestedThisTxn_ = false;
     wonArb_ = priorityDriven_ = wonPriority_ = backedOff_ = false;
@@ -98,11 +98,8 @@ BusController::onPowerLost()
 void
 BusController::powerFail()
 {
-    // The fault engine records the Brownout instant itself; here we
-    // just close the victim's open span so it pairs up in export.
-    if (auto *t = ctx_.sim.tracer())
-        t->endTx(ctx_.nodeId,
-                 static_cast<std::int64_t>(TxStatus::Reset));
+    // The fault engine records the Brownout instant itself; the
+    // victim's open span closes in onPowerLost().
     onPowerLost();
     std::deque<PendingTx> dead;
     dead.swap(txQueue_);
@@ -475,7 +472,7 @@ BusController::onInterjectionDetected()
     if (phase_ == Phase::Control || phase_ == Phase::Idle) {
         // Entering from idle, or re-entering after a fault swallowed
         // our control edges: drop any stale role state.
-        role_ = Role::None;
+        dropRole();
         rxBytes_.clear();
         iAmInterjector_ = false;
         interjectorEom_ = false;
@@ -676,6 +673,20 @@ BusController::completeCurrentTx(TxStatus status)
         auto cb = std::move(tx.cb);
         ctx_.sim.schedule(0, [cb, result] { cb(result); });
     }
+}
+
+void
+BusController::dropRole()
+{
+    // A transmitter that loses its role before the control bits
+    // resolved keeps the message queued: it re-arbitrates as a new
+    // attempt and its sender still sees exactly one terminal status.
+    // The attempt itself ended in a bus reset.
+    if (role_ == Role::Tx)
+        if (auto *t = ctx_.sim.tracer())
+            t->endTx(ctx_.nodeId,
+                     static_cast<std::int64_t>(TxStatus::Reset));
+    role_ = Role::None;
 }
 
 void

@@ -110,6 +110,15 @@ struct BusControllerStats
 class BusController : public ClockEdgeSink
 {
   public:
+    enum class Phase : std::uint8_t {
+        Idle,     ///< No transaction in progress.
+        Active,   ///< Arbitration / address / data phases.
+        IntjWait, ///< Holding CLK, waiting for the interjection.
+        Control,  ///< Post-interjection control cycles.
+    };
+
+    enum class Role : std::uint8_t { None, Tx, Rx, Fwd };
+
     explicit BusController(BusControllerContext ctx, NodeConfig cfg);
 
     // --- Identity ------------------------------------------------------
@@ -175,6 +184,10 @@ class BusController : public ClockEdgeSink
     /** True while the bus is idle from this node's perspective. */
     bool busIdle() const { return phase_ == Phase::Idle; }
 
+    /** Transaction phase and role as this controller sees them. */
+    Phase phase() const { return phase_; }
+    Role role() const { return role_; }
+
     /** Called by the power domain when the controller loses power. */
     void onPowerLost();
 
@@ -194,15 +207,6 @@ class BusController : public ClockEdgeSink
     void onClkEdge(bool rising) override;
 
   private:
-    enum class Phase : std::uint8_t {
-        Idle,     ///< No transaction in progress.
-        Active,   ///< Arbitration / address / data phases.
-        IntjWait, ///< Holding CLK, waiting for the interjection.
-        Control,  ///< Post-interjection control cycles.
-    };
-
-    enum class Role : std::uint8_t { None, Tx, Rx, Fwd };
-
     struct PendingTx
     {
         Message msg;
@@ -230,6 +234,7 @@ class BusController : public ClockEdgeSink
     void postIdleWindow();
     void tryRequest();
     void completeCurrentTx(TxStatus status);
+    void dropRole();
     void requeueAfterArbLoss();
     void stepLayerIfNeeded();
 

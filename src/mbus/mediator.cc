@@ -1,6 +1,7 @@
 #include "mbus/mediator.hh"
 
 #include "sim/logging.hh"
+#include "trace/trace.hh"
 
 namespace mbus {
 namespace bus {
@@ -234,6 +235,9 @@ Mediator::watchdogLatch()
     if (bytes > maxMessageBytes_) {
         // Runaway message (Sec 7): terminate with a general error.
         ++stats_.watchdogKills;
+        if (auto *t = ctx_.sim.tracer())
+            t->record(trace::EventKind::RunawayKill, ctx_.nodeId,
+                      static_cast<std::int64_t>(stats_.watchdogKills));
         beginInterjection(InterjectReason::Watchdog);
     }
 }

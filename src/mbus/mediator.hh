@@ -48,6 +48,14 @@ struct MediatorStats
 class Mediator : private wire::EdgeListener
 {
   public:
+    enum class State : std::uint8_t {
+        Asleep,       ///< Fully gated; DATA-fall detector armed.
+        WakePending,  ///< Self-start delay running.
+        Clocking,     ///< Normal clock generation (arb/addr/data).
+        Interjecting, ///< CLK parked high, toggling DATA.
+        Control,      ///< Clocking the control cycles.
+    };
+
     struct Context
     {
         sim::Simulator &sim;
@@ -78,6 +86,9 @@ class Mediator : private wire::EdgeListener
     /** True while no transaction is in flight. */
     bool asleep() const { return state_ == State::Asleep; }
 
+    /** Where the mediator is in its transaction cycle. */
+    State state() const { return state_; }
+
     /**
      * On-chip interjection request from the host member controller
      * (which cannot break the CLK ring it shares with us).
@@ -106,14 +117,6 @@ class Mediator : private wire::EdgeListener
     }
 
   private:
-    enum class State : std::uint8_t {
-        Asleep,       ///< Fully gated; DATA-fall detector armed.
-        WakePending,  ///< Self-start delay running.
-        Clocking,     ///< Normal clock generation (arb/addr/data).
-        Interjecting, ///< CLK parked high, toggling DATA.
-        Control,      ///< Clocking the control cycles.
-    };
-
     /** Why the current interjection was generated. */
     enum class InterjectReason : std::uint8_t {
         RingBreak, ///< A node stopped forwarding CLK (EoM / abort).

@@ -40,6 +40,10 @@ class SoftMember
      *  (part of the ring's idle predicate). */
     virtual bool idle() const = 0;
 
+    /** True while the member is the transmitter of the transaction
+     *  in flight (it won arbitration and has not resolved it). */
+    virtual bool transmitting() const = 0;
+
     /** Register the delivery callback. */
     virtual void setReceiveCallback(ReceiveCallback cb) = 0;
 

@@ -15,7 +15,7 @@ namespace {
 
 const char *kHex = "0123456789ABCDEF";
 const char *kSpecTag = "spec1";
-const char *kStatsTag = "stat1";
+const char *kStatsTag = "stat2";
 
 bool
 tokenSafe(char c)

@@ -25,7 +25,7 @@
  *
  * Framing: '|'-separated tokens; strings are percent-escaped so a
  * token never contains '|', '%', whitespace, or control bytes. Both
- * encodings carry a leading version tag ("spec1" / "stat1").
+ * encodings carry a leading version tag ("spec1" / "stat2").
  *
  * Decoding is strict. The Reader accepts only the bytes a Writer
  * would have produced: an enum past its last enumerator, an integer
@@ -36,7 +36,7 @@
  * input byte for byte.
  *
  * Adding, removing or reordering a table row moves the bytes, so it
- * needs a new tag ("spec2" / "stat2") and a fleet::kHarnessVersionSalt
+ * needs a new tag ("spec2" / "stat3") and a fleet::kHarnessVersionSalt
  * bump: stale cache entries and journals are then rejected instead of
  * misread. Renaming a row, or adding a report column computed from
  * existing fields, keeps every byte and needs neither.

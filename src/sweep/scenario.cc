@@ -357,6 +357,7 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     // Fault and recovery reduction (all-zero with faults off).
     st.faultEvents = faultEngine ? faultEngine->injected() : 0;
     st.busResets = backend->busResets();
+    st.runawayKills = backend->runawayKills();
     st.retries = w.retry.retries;
     st.recoveredTx = w.retry.recoveredTx;
     st.abandonedTx = w.retry.abandonedTx;
@@ -413,8 +414,9 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
                       {"events_executed", "dispatch_calls", "train_edges",
                        "trains_scheduled", "clock_cycles", "slab_slots",
                        "slab_live_peak", "heap_callbacks", "fault_events",
-                       "bus_resets", "retries", "recovered_tx",
-                       "abandoned_tx", "trace_events", "flight_dumps"});
+                       "bus_resets", "runaway_kills", "retries",
+                       "recovered_tx", "abandoned_tx", "trace_events",
+                       "flight_dumps"});
         reg.counter(
             "watchdog_rescues",
             tracer->countOf(trace::EventKind::WatchdogRescue));

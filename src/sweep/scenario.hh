@@ -189,6 +189,8 @@ struct ScenarioStats
     // entries and/or a retry policy is active; zero otherwise).
     int faultEvents = 0;        ///< Fault primitives applied.
     std::uint64_t busResets = 0; ///< Watchdog/bus force-resets.
+    std::uint64_t runawayKills = 0; ///< Messages the mediator cut at
+                                    ///< the Sec 7 length limit.
     int txResets = 0;   ///< Sends killed with TxStatus::Reset
                         ///< (also counted in `failed`).
     std::uint64_t retries = 0; ///< Re-sends the retry policy issued.

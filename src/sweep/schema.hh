@@ -4,7 +4,7 @@
  * what a ScenarioSpec and a ScenarioStats hold.
  *
  * kFields<Rec> is a compile-time tuple with one {name, member
- * pointer} row per field of Rec, in the canonical "spec1" / "stat1"
+ * pointer} row per field of Rec, in the canonical "spec1" / "stat2"
  * wire order. Sub-records, and vectors of them, are fields too, with
  * tables of their own. forEachField() walks a table; the codec
  * (sweep/codec.cc) is two such walks, and the metrics snapshot picks
@@ -232,6 +232,7 @@ constexpr auto kFields<ScenarioStats> = std::make_tuple(
     Field{"retimings", &ScenarioStats::retimings},
     Field{"fault_events", &ScenarioStats::faultEvents},
     Field{"bus_resets", &ScenarioStats::busResets},
+    Field{"runaway_kills", &ScenarioStats::runawayKills},
     Field{"tx_resets", &ScenarioStats::txResets},
     Field{"retries", &ScenarioStats::retries},
     Field{"recovered_tx", &ScenarioStats::recoveredTx},

@@ -283,6 +283,7 @@ constexpr Column<CellResult> kCsv[] = {
     {"retimings", field<&ScenarioStats::retimings>},
     {"fault_events", field<&ScenarioStats::faultEvents>},
     {"bus_resets", field<&ScenarioStats::busResets>},
+    {"runaway_kills", field<&ScenarioStats::runawayKills>},
     {"tx_resets", field<&ScenarioStats::txResets>},
     {"retries_used", field<&ScenarioStats::retries>},
     {"recovered_tx", field<&ScenarioStats::recoveredTx>},

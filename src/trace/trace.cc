@@ -41,6 +41,7 @@ eventKindName(EventKind k)
       case EventKind::FaultInject: return "fault_inject";
       case EventKind::Delivery: return "delivery";
       case EventKind::WedgeGuard: return "wedge_guard";
+      case EventKind::RunawayKill: return "runaway_kill";
     }
     return "?";
 }
@@ -139,6 +140,8 @@ Tracer::record(EventKind k, int node, std::int64_t a, std::int32_t b)
     push(ev);
     if (k == EventKind::WatchdogRescue)
         trip("watchdog-rescue");
+    else if (k == EventKind::RunawayKill)
+        trip("runaway-kill");
     else if (k == EventKind::WedgeGuard)
         trip("wedge-guard");
 }

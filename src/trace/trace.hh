@@ -39,10 +39,10 @@
  * injection, power gating) become instants ("i").
  *
  * The flight recorder is the same event stream teed into a
- * fixed-depth ring; on a watchdog rescue, wedge-guard trip, or an
- * explicit trip() from a failing test, the ring is snapshotted into
- * a human-readable dump that names every transaction still open --
- * the "last act" of a cell that died.
+ * fixed-depth ring; on a watchdog rescue, runaway kill, wedge-guard
+ * trip, or an explicit trip() from a failing test, the ring is
+ * snapshotted into a human-readable dump that names every transaction
+ * still open -- the "last act" of a cell that died.
  */
 
 #ifndef MBUS_TRACE_TRACE_HH
@@ -72,7 +72,8 @@ enum class EventKind : std::uint8_t {
     ControlPhase,     ///< Control/interjection chain (a=code bits).
     InterjectRequest, ///< Node asked the mediator to interject (a=eom).
     InterjectDetected,///< A node observed the interjection pulse.
-    WatchdogRescue,   ///< Watchdog fired a rescue reset (a=poll count).
+    WatchdogRescue,   ///< Watchdog fired a rescue reset (a=rescue
+                      ///< count, b=StallRule).
     RetryAttempt,     ///< Retry policy re-sent (a=attempt, b=status).
     RetryRecovered,   ///< A retried send finally delivered (a=attempts).
     RetryAbandoned,   ///< Retries exhausted (a=attempts, b=status).
@@ -85,11 +86,21 @@ enum class EventKind : std::uint8_t {
     FaultInject,      ///< Fault engine applied a primitive (a=op).
     Delivery,         ///< Payload handed to a receiver (a=bytes).
     WedgeGuard,       ///< The cell tripped its wedge guard.
+    RunawayKill,      ///< Mediator cut a runaway message (Sec 7;
+                      ///< a=kill count).
 };
 
 /** Number of EventKind values (for per-kind counters). */
 constexpr std::size_t kEventKindCount =
-    static_cast<std::size_t>(EventKind::WedgeGuard) + 1;
+    static_cast<std::size_t>(EventKind::RunawayKill) + 1;
+
+/** The stall rule behind a WatchdogRescue (its b argument). */
+enum class StallRule : std::int32_t {
+    FrozenClock = 0,      ///< Busy, with no clock progress.
+    SleepingMediator = 1, ///< Clock edges while the mediator sleeps.
+    NoOwner = 2,          ///< Mediator clocking a transaction that no
+                          ///< transmitter drives.
+};
 
 /** @return a short stable name ("tx_begin", "arb_win", ...). */
 const char *eventKindName(EventKind k);
@@ -161,9 +172,10 @@ class Tracer
 
     /**
      * Snapshot the flight ring into a dump, naming every transaction
-     * still open. Called automatically on WatchdogRescue and
-     * WedgeGuard records; call it manually from a failing test to
-     * capture the cell's last act. No-op unless flight is on.
+     * still open. Called automatically on WatchdogRescue,
+     * RunawayKill and WedgeGuard records; call it manually from a
+     * failing test to capture the cell's last act. No-op unless
+     * flight is on.
      */
     void trip(const char *reason);
 

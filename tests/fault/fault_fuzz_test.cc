@@ -10,7 +10,13 @@
  *    (delivered / NAK / interrupted / abort / reset / failed), i.e.
  *    planned == acked + naked + broadcasts + interrupted + rxAborts
  *    + failed holds under arbitrary physical damage;
- *  - recovery bookkeeping is internally consistent.
+ *  - every arbitration win ends in exactly one terminal status on its
+ *    trace span: a cell that reached idle exports no span closed as
+ *    status -1 (re-arbitrated or never resolved);
+ *  - recovery bookkeeping is internally consistent;
+ *  - on the MBus-framed fabrics the watchdog's "clocking with no
+ *    owner" rule fires somewhere across the seeds, so the fuzz keeps
+ *    exercising the stall it exists for.
  */
 
 #include <gtest/gtest.h>
@@ -19,15 +25,17 @@
 
 #include "sim/random.hh"
 #include "sweep/scenario.hh"
+#include "trace/trace.hh"
 
 using namespace mbus;
 
 namespace {
 
-constexpr int kScenariosPerFabric = 45; // 5 fabrics -> 225 total.
+constexpr int kScenariosPerFabric = 45; // 8 passes -> 360 total.
 
+/** A random schedule of 1-3 fault entries inside [0, @p windowS). */
 fault::FaultSpec
-randomFaults(sim::Random &rng)
+randomFaults(sim::Random &rng, double windowS)
 {
     fault::FaultSpec fs;
     fs.name = "fuzz";
@@ -38,7 +46,7 @@ randomFaults(sim::Random &rng)
         e.kind = static_cast<fault::FaultKind>(rng.below(6));
         e.count = 1 + static_cast<int>(rng.below(3));
         e.startS = 0.0;
-        e.endS = 0.02;
+        e.endS = windowS;
         e.durationS = 1e-4 + 1.4e-3 * rng.uniform();
         e.jitterFrac = 0.4;
         e.pulses = 1 + static_cast<int>(rng.below(4));
@@ -48,11 +56,31 @@ randomFaults(sim::Random &rng)
     return fs;
 }
 
-void
-fuzzFabric(backend::BackendKind kind, std::uint64_t masterSeed)
+/** WatchdogRescue events in a Chrome export that name @p rule. */
+int
+rescuesByRule(const std::string &json, trace::StallRule rule)
+{
+    const std::string b =
+        "\"b\": " + std::to_string(static_cast<int>(rule)) + ",";
+    int n = 0;
+    for (std::size_t at = json.find("\"watchdog_rescue\"");
+         at != std::string::npos;
+         at = json.find("\"watchdog_rescue\"", at + 1)) {
+        std::size_t args = json.find("\"b\": ", at);
+        n += args != std::string::npos &&
+             json.compare(args, b.size(), b) == 0;
+    }
+    return n;
+}
+
+/** Fuzz one fabric; @return the no-owner rescues seen. */
+int
+fuzzFabric(backend::BackendKind kind, std::uint64_t masterSeed,
+           double faultWindowS = 0.02)
 {
     sim::Random rng(masterSeed);
     int faultEventsSeen = 0;
+    int noOwnerRescues = 0;
     for (int i = 0; i < kScenariosPerFabric; ++i) {
         sweep::ScenarioSpec s;
         s.name = "fuzz" + std::to_string(i);
@@ -63,9 +91,11 @@ fuzzFabric(backend::BackendKind kind, std::uint64_t masterSeed)
         s.traffic = static_cast<sweep::TrafficPattern>(rng.below(4));
         s.powerGated = rng.chance(0.3);
         s.interjectRate = rng.chance(0.3) ? 0.3 : 0.0;
-        s.faults = randomFaults(rng);
+        s.faults = randomFaults(rng, faultWindowS);
         s.retry.maxRetries = static_cast<int>(rng.below(4));
         s.retry.backoffEpochs = 8;
+        // Observational only: spans and rescue causes, same physics.
+        s.trace.protocol = true;
         std::uint64_t seed = rng.next();
 
         SCOPED_TRACE("scenario " + std::to_string(i) + " seed " +
@@ -87,10 +117,19 @@ fuzzFabric(backend::BackendKind kind, std::uint64_t masterSeed)
         if (st.recoveredTx == 0) {
             EXPECT_EQ(st.recoveryP50S, 0.0);
         }
+        // One terminal status per arbitration win.
+        if (!st.wedged) {
+            EXPECT_EQ(st.traceJson.find("\"status\": -1"),
+                      std::string::npos)
+                << "a transaction span never closed";
+        }
         faultEventsSeen += st.faultEvents;
+        noOwnerRescues +=
+            rescuesByRule(st.traceJson, trace::StallRule::NoOwner);
     }
     // The fuzz actually exercised the fault engine.
     EXPECT_GT(faultEventsSeen, 0);
+    return noOwnerRescues;
 }
 
 } // namespace
@@ -118,4 +157,18 @@ TEST(FaultFuzz, BitbangSurvivesRandomFaultSchedules)
 TEST(FaultFuzz, FirmwareSurvivesRandomFaultSchedules)
 {
     fuzzFabric(backend::BackendKind::Firmware, 0x1005);
+}
+
+TEST(FaultFuzz, NoOwnerRuleFiresOnMbusFramedFabrics)
+{
+    // Faults packed into the first 1.5 ms land inside transactions
+    // (the CI grid's window), where a glitch can leave the members
+    // out of step with a clocking mediator. Every check above holds
+    // there too, and the no-owner rule must be what reclaims some of
+    // those buses on each MBus-framed fabric.
+    EXPECT_GT(fuzzFabric(backend::BackendKind::Mbus, 0x2001, 1.5e-3), 0);
+    EXPECT_GT(fuzzFabric(backend::BackendKind::Bitbang, 0x2004, 1.5e-3),
+              0);
+    EXPECT_GT(fuzzFabric(backend::BackendKind::Firmware, 0x2005, 1.5e-3),
+              0);
 }

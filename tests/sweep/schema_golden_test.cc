@@ -1,7 +1,7 @@
 /**
  * @file
  * Byte goldens for every serialized form of a sweep cell: the
- * canonical spec codec ("spec1"), the stats codec ("stat1"), the
+ * canonical spec codec ("spec1"), the stats codec ("stat2"), the
  * sweep CSV and the sweep JSON. A fixed ten-cell grid spans all five
  * fabrics, classic / workload / faulty / traced / VCD-capturing
  * cells, a retry policy, names carrying ',', '"', '\', '|' and a
@@ -223,10 +223,13 @@ TEST(SchemaGolden, SpecStatsCsvAndJsonBytesArePinned)
     EXPECT_NE(specs.find("|-0|"), std::string::npos);
     EXPECT_NE(specs.find("0.10000000000000001"), std::string::npos);
 
-    // Captured before the field-table codec and writers landed.
+    // Spec bytes captured before the field-table codec and writers
+    // landed; stats, CSV and JSON recaptured when "stat2" added the
+    // runaway_kills row (a 0 column per cell, a runaway_kills=0
+    // metric per traced cell; every other byte unchanged).
     expectGolden("encodeSpec", specs, {0x2270f17c8c2b077fULL, 2224});
-    expectGolden("encodeStats", stats, {0x0ad24c5e10af048fULL, 53849});
-    expectGolden("writeCsv", csv.str(), {0x19c5d748d1290481ULL, 8893});
+    expectGolden("encodeStats", stats, {0x7d22eacc27cbf59bULL, 53933});
+    expectGolden("writeCsv", csv.str(), {0x528d6c75567770e4ULL, 8991});
     expectGolden("writeJson", json.str(),
-                 {0x2a475af9af7f19dbULL, 12319});
+                 {0x7b95caece29ee533ULL, 12383});
 }

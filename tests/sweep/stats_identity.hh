@@ -39,7 +39,7 @@ expectIdenticalStats(const sweep::ScenarioStats &a,
         return;
     auto diff = std::mismatch(ea.begin(), ea.end(), eb.begin(), eb.end());
     auto at = static_cast<std::size_t>(diff.first - ea.begin());
-    ADD_FAILURE() << "stats diverged at stat1 token "
+    ADD_FAILURE() << "stats diverged at stats token "
                   << std::count(ea.begin(), diff.first, '|') << ": "
                   << tokenAt(ea, at) << " vs " << tokenAt(eb, at);
 }

@@ -8,8 +8,11 @@
  *  - with tracing off, the tracer is never constructed and every
  *    deterministic byte (VCD included) matches a trace-on run of the
  *    same cell -- tracing is purely observational;
+ *  - every arbitration win closes its span with a terminal status:
+ *    a cell that reached idle exports no status -1 span;
  *  - a watchdog rescue produces a flight-recorder dump that names
- *    the stalled transaction.
+ *    the stalled transaction, and a Sec 7 runaway kill is counted,
+ *    traced and dumped.
  */
 
 #include <gtest/gtest.h>
@@ -87,6 +90,11 @@ TEST(TraceDeterminism, FiveFabricTraceBytesAreThreadCountInvariant)
         const sweep::ScenarioStats &sa = a.cell(i).stats;
         const sweep::ScenarioStats &sb = b.cell(i).stats;
         EXPECT_GT(sa.traceEvents, 0u) << "cell " << i;
+        if (!sa.wedged) {
+            EXPECT_EQ(sa.traceJson.find("\"status\": -1"),
+                      std::string::npos)
+                << "cell " << i << " left a span unresolved";
+        }
         EXPECT_EQ(sa.traceJson, sb.traceJson) << "cell " << i;
         EXPECT_EQ(sa.traceHash, sb.traceHash) << "cell " << i;
         EXPECT_EQ(sa.flightDumps, sb.flightDumps) << "cell " << i;
@@ -197,4 +205,36 @@ TEST(TraceDeterminism, WatchdogRescueDumpNamesTheStalledTransaction)
         << "dump did not name the stalled transaction:\n"
         << d;
     simulator.setTracer(nullptr);
+}
+
+TEST(TraceDeterminism, RunawayKillIsCountedTracedAndDumped)
+{
+    // A message past the mediator's 1 kB minimum maximum length is cut
+    // by the Sec 7 runaway kill: the stats column, the metric, the
+    // trace event and a flight dump naming the transmitter all see it.
+    sweep::ScenarioSpec s;
+    s.name = "runaway";
+    s.nodes = 3;
+    s.messages = 1;
+    s.payloadBytes = 1200;
+    s.trace.protocol = true;
+    s.trace.flight = true;
+    sweep::ScenarioStats st = sweep::runScenario(s, 7);
+
+    EXPECT_FALSE(st.wedged);
+    EXPECT_EQ(st.runawayKills, 1u);
+    EXPECT_EQ(st.failed, 1);
+    bool metric = false;
+    for (const trace::MetricSample &m : st.metrics)
+        metric = metric || (m.name == "runaway_kills" && m.value == "1");
+    EXPECT_TRUE(metric) << "no runaway_kills=1 metric";
+    EXPECT_NE(st.traceJson.find("\"runaway_kill\""), std::string::npos);
+    ASSERT_FALSE(st.flightDumps.empty());
+    const std::string &d = st.flightDumps[0];
+    EXPECT_NE(d.find("runaway-kill"), std::string::npos);
+    EXPECT_NE(d.find(" tx#1 "), std::string::npos)
+        << "dump did not name the runaway transaction:\n"
+        << d;
+    // The killed attempt still closes with a terminal status.
+    EXPECT_EQ(st.traceJson.find("\"status\": -1"), std::string::npos);
 }
