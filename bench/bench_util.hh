@@ -19,6 +19,7 @@
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sweep/scenario.hh"
+#include "sweep/sweep.hh"
 #include "wire/net.hh"
 
 namespace mbus {
@@ -172,6 +173,26 @@ faultyFiveFabricGrid(std::size_t cells = 25,
         grid.push_back(std::move(s));
     }
     return grid;
+}
+
+/**
+ * The cell of @p r with the most kernel events (nullptr if @p r is
+ * empty), with every cell's events summed into @p totalEvents. Their
+ * ratio is the grid's Amdahl ceiling: no fleet finishes before its
+ * costliest cell, so it bounds what any worker count can gain.
+ */
+inline const sweep::CellResult *
+costliestCell(const sweep::SweepResult &r, std::uint64_t &totalEvents)
+{
+    totalEvents = 0;
+    const sweep::CellResult *costliest = nullptr;
+    for (const sweep::CellResult &c : r.cells()) {
+        totalEvents += c.stats.eventsExecuted;
+        if (!costliest ||
+            c.stats.eventsExecuted > costliest->stats.eventsExecuted)
+            costliest = &c;
+    }
+    return costliest;
 }
 
 /**

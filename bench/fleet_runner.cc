@@ -147,17 +147,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(st.cellsTotal),
                 static_cast<unsigned long long>(
                     fr.result.fingerprint()));
-    // Amdahl ceiling: no fleet finishes before its costliest cell, so
-    // summed cell events over the largest bound what any worker count
-    // can gain on this grid.
     std::uint64_t totalEvents = 0;
-    const sweep::CellResult *straggler = nullptr;
-    for (const sweep::CellResult &c : fr.result.cells()) {
-        totalEvents += c.stats.eventsExecuted;
-        if (!straggler ||
-            c.stats.eventsExecuted > straggler->stats.eventsExecuted)
-            straggler = &c;
-    }
+    const sweep::CellResult *straggler =
+        benchutil::costliestCell(fr.result, totalEvents);
     if (straggler && straggler->stats.eventsExecuted > 0)
         std::printf("amdahl ceiling %.2fx (%llu events / %llu in "
                     "straggler cell %llu %s)\n",

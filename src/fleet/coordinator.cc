@@ -29,6 +29,7 @@
 
 #include <dirent.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -47,6 +48,50 @@ namespace fleet {
 namespace {
 
 enum class CellState : char { Pending, Granted, Done };
+
+#ifdef __linux__
+/**
+ * Move the calling, freshly forked worker @p id onto a CPU of its
+ * own. A kernel that does not balance load across the allowed CPUs
+ * (a cpuset with sched_load_balance off) never migrates a forked
+ * child off its parent's CPU, so N workers would time-share one core
+ * for life. Worker k goes to the (k+1)-th allowed CPU after
+ * @p parentCpu, wrapping around; the full inherited mask is then
+ * restored, so a balancing kernel can still move it. Allocation-free
+ * (it runs between fork and exec); a no-op on a one-CPU mask or when
+ * a call fails.
+ */
+void
+startOnOwnCpu(unsigned id, int parentCpu)
+{
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        return;
+    const int n = CPU_COUNT(&allowed);
+    if (n < 2)
+        return;
+    int own = -1; // Rank of parentCpu in the mask; -1 if outside it.
+    for (int c = 0, rank = 0; c < CPU_SETSIZE && own < 0; ++c)
+        if (CPU_ISSET(c, &allowed)) {
+            if (c == parentCpu)
+                own = rank;
+            ++rank;
+        }
+    const int target = static_cast<int>(
+        (static_cast<unsigned>(own + 1) + id) % static_cast<unsigned>(n));
+    for (int c = 0, rank = 0; c < CPU_SETSIZE; ++c) {
+        if (!CPU_ISSET(c, &allowed) || rank++ != target)
+            continue;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(c, &one);
+        if (::sched_setaffinity(0, sizeof one, &one) == 0)
+            ::sched_setaffinity(0, sizeof allowed, &allowed);
+        return;
+    }
+}
+#endif
 
 struct WorkerProc
 {
@@ -219,6 +264,9 @@ struct Coordinator
             return;
         }
         std::fflush(nullptr); // No duplicated stdio in the child.
+#ifdef __linux__
+        const int parentCpu = ::sched_getcpu();
+#endif
         pid_t pid = ::fork();
         if (pid < 0) {
             std::perror("fleet: fork");
@@ -228,6 +276,9 @@ struct Coordinator
             return;
         }
         if (pid == 0) {
+#ifdef __linux__
+            startOnOwnCpu(w.id, parentCpu);
+#endif
             // Child: become a worker. Close the coordinator's ends
             // (and every other worker's fds we inherited).
             ::close(toPipe[1]);

@@ -18,6 +18,16 @@
  * thread count in flight) to keep pipes shallow and stealing
  * effective.
  *
+ * Placement: on Linux each forked worker starts on a CPU of its own
+ * before it runs or execs the worker loop. Worker k pins itself to
+ * the (k+1)-th CPU of its inherited affinity mask after the
+ * coordinator's, then restores the full mask. A kernel that never
+ * balances load across the mask (a cpuset with sched_load_balance
+ * off) would otherwise keep every worker on the coordinator's CPU,
+ * and N workers would run no faster than one; a kernel that does
+ * balance can still move them. No knob, and no output byte depends
+ * on it.
+ *
  * Determinism contract (extends sweep/sweep.hh): every deterministic
  * byte of the merged result -- CSV without wall times, JSON,
  * fingerprint -- is a pure function of (masterSeed, grid). N
