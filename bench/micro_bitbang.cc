@@ -14,7 +14,7 @@
 
 #include "bench/bench_util.hh"
 #include "bitbang/bitbang_i2c.hh"
-#include "bitbang/bitbang_mbus.hh"
+#include "firmware/firmware_node.hh"
 #include "mbus/system.hh"
 
 using namespace mbus;
@@ -64,11 +64,11 @@ main()
         nc.powerGated = false;
         ring.addNode(nc);
     }
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
-    addBitbangMember(ring, "bb", bb);
+    firmware::addFirmwareMember(ring, "bb", bb);
     ring.finalize();
-    BitbangMbus &soft = ring.softMemberAs<BitbangMbus>();
+    auto &soft = ring.softMemberAs<firmware::FirmwareNode>();
 
     int sw_rx = 0, hw_rx = 0;
     int acked = 0;

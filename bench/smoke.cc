@@ -5,11 +5,13 @@
  * check to it, skipping a check only where a cell's spec says it
  * does not apply: byte identity across thread counts (CSV, JSON,
  * fingerprint, per-cell trace bytes); per-cell health; the Sec 6.6
- * differential (every bitbang cell replayed with the libmbus
- * firmware member must match); and, where the flight recorder is on,
- * a forced wedge that must dump its stalled transaction. Writes the
- * CSV (plus cell 0's Perfetto JSON for a traced grid) via the
- * crash-safe writer; exits 1 on any failed check or write.
+ * differential (every bitbang cell replayed with edge trains flipped,
+ * which also switches the software member's coalesced CLK ISR
+ * retirements, must match on the bus); and, where the flight
+ * recorder is on, a forced wedge that must dump its stalled
+ * transaction. Writes the CSV (plus cell 0's Perfetto JSON for a
+ * traced grid) via the crash-safe writer; exits 1 on any failed
+ * check or write.
  */
 
 #include <algorithm>
@@ -243,8 +245,8 @@ checkHealth(const sweep::SweepResult &a)
         fail("the grid schedules faults but none fired");
 }
 
-/** Differential: each bitbang cell, replayed on its own seed with the
- *  firmware member swapped in, is indistinguishable on the bus. */
+/** Differential: each bitbang cell, replayed on its own seed with
+ *  edge trains flipped, is indistinguishable on the bus. */
 void
 checkDifferential(const sweep::SweepResult &a)
 {
@@ -252,7 +254,7 @@ checkDifferential(const sweep::SweepResult &a)
         if (c.spec.backend != backend::BackendKind::Bitbang)
             continue;
         sweep::ScenarioSpec twin = c.spec;
-        twin.backend = backend::BackendKind::Firmware;
+        twin.edgeTrains = !twin.edgeTrains;
         sweep::ScenarioStats f = sweep::runScenario(twin, c.seed);
         const sweep::ScenarioStats &m = c.stats;
         bool same = m.samplesDelivered == f.samplesDelivered &&
@@ -262,11 +264,12 @@ checkDifferential(const sweep::SweepResult &a)
                     m.failed == f.failed &&
                     m.bytesDelivered == f.bytesDelivered &&
                     m.clockCycles == f.clockCycles &&
-                    m.switchingJ == f.switchingJ;
-        std::printf("differential %-16s: model vs firmware %s\n",
+                    m.switchingJ == f.switchingJ &&
+                    m.vcdHash == f.vcdHash;
+        std::printf("differential %-16s: edge trains flipped %s\n",
                     c.spec.name.c_str(), same ? "EQUAL" : "DIVERGED");
         if (!same)
-            fail(c.spec.name + ": firmware twin diverged from the model");
+            fail(c.spec.name + ": edge-train twin diverged");
     }
 }
 

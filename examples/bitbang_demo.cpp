@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bitbang/bitbang_mbus.hh"
+#include "firmware/firmware_node.hh"
 #include "mbus/system.hh"
 
 using namespace mbus;
@@ -40,12 +40,12 @@ main()
     }
     // ... and the software member, last on the ring. The system
     // budgets its ISR latency into the ring round trip.
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     bb.cost = cost;
-    addBitbangMember(ring, "bb", bb);
+    firmware::addFirmwareMember(ring, "bb", bb);
     ring.finalize();
-    BitbangMbus &soft = ring.softMemberAs<BitbangMbus>();
+    auto &soft = ring.softMemberAs<firmware::FirmwareNode>();
 
     soft.setReceiveCallback(
         [](const bus::ReceivedMessage &rx) {

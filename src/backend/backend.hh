@@ -18,9 +18,8 @@
  *    property the backend determinism tests pin against
  *    pre-refactor captures. On `bitbang` and `firmware` the same
  *    ring carries one four-GPIO software member in its last
- *    position (the behavioral model or the ported libmbus
- *    firmware), whose ISR latency throttles the whole ring
- *    (Sec 6.6).
+ *    position (the ported libmbus firmware), whose ISR latency
+ *    throttles the whole ring (Sec 6.6).
  *  - I2cBackend (`i2c_std`, `i2c_oracle`) promotes the analytic
  *    I2cModel (standard or oracle pull-up sizing) into a
  *    transactional event-kernel bus with START/STOP framing,
@@ -54,9 +53,10 @@ enum class BackendKind : std::uint8_t {
     Mbus,      ///< Simulated hardware MBus ring (the default).
     I2cStd,    ///< Transactional I2C, fixed 300 ns rise sizing.
     I2cOracle, ///< Transactional I2C, oracle pull-up sizing (Sec 6.2).
-    Bitbang,   ///< Mixed ring with a four-GPIO software member.
-    Firmware,  ///< Mixed ring; the software member runs the ported
-               ///< libmbus firmware FSM (firmware-in-the-loop).
+    Bitbang,   ///< Mixed ring with a four-GPIO software member: the
+               ///< firmware member at default shim settings.
+    Firmware,  ///< The same mixed ring, with the params' firmware
+               ///< shim knobs (ISR jitter, merged edges) applied.
 };
 
 /** @return a short printable name ("mbus", "i2c_std", ...). */

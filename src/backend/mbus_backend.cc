@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 
-#include "bitbang/bitbang_mbus.hh"
 #include "firmware/firmware_node.hh"
 #include "mbus/layer_controller.hh"
 #include "power/constants.hh"
@@ -52,19 +51,16 @@ MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params,
     if (mixedRing) {
         std::string name = "n" + std::to_string(chips);
         auto prefix = static_cast<std::uint8_t>(params.nodes);
-        if (kind == BackendKind::Bitbang) {
-            bitbang::BitbangMbus::Config bb;
-            bb.shortPrefix = prefix;
-            bb.rxCapacityBytes = params.softRxCapacity;
-            bitbang::addBitbangMember(*system_, name, bb);
-        } else {
-            firmware::FirmwareNode::Config fw;
-            fw.shortPrefix = prefix;
-            fw.rxCapacityBytes = params.softRxCapacity;
+        // Bitbang is the member at default shim settings; Firmware
+        // applies the shim's jitter and merged-edge knobs.
+        firmware::FirmwareNode::Config fw;
+        fw.shortPrefix = prefix;
+        fw.rxCapacityBytes = params.softRxCapacity;
+        if (kind == BackendKind::Firmware) {
             fw.isrJitterCycles = params.fwIsrJitterCycles;
             fw.mergeMissedEdges = params.fwMergeMissedEdges;
-            firmware::addFirmwareMember(*system_, name, fw);
         }
+        firmware::addFirmwareMember(*system_, name, fw);
         system_->config().busClockHz =
             std::min(params.busClockHz,
                      clockHeadroom() * system_->maxSafeClockHz());

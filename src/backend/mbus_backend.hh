@@ -12,9 +12,10 @@
  *
  * Mixed rings (BackendKind::Bitbang, BackendKind::Firmware): nodes
  * 0..n-2 are hardware chips (node 0 hosts the mediator) and node n-1
- * is the four-GPIO software member -- the behavioral BitbangMbus or
- * the ported libmbus firmware (FirmwareNode), which are
- * differentially tested to produce identical waveforms, deliveries
+ * is the four-GPIO software member, the ported libmbus firmware
+ * (FirmwareNode). Bitbang runs it at default shim settings; Firmware
+ * applies the params' ISR jitter and merged-edge knobs, and with
+ * both off the two fabrics produce identical waveforms, deliveries
  * and energy. The member's ISR latency throttles the whole ring: the
  * bus clock is clamped to a conservative fraction of the mixed
  * ring's envelope, which is why these fabrics top out near the

@@ -31,14 +31,25 @@ struct Msp430CostModel
     int dispatchCycles = 16; ///< State load, compare, branch chain.
     int stateUpdateCycles = 16; ///< Counters, shifts, stores.
 
-    /** Worst-case edge-to-output path, cycles (the paper's 65). */
-    int
+    /** Worst-case edge-to-output path, cycles (the paper's 65): the
+     *  CLK-edge ISR, whose cost is the same in every protocol phase. */
+    constexpr int
     worstPathCycles() const
     {
         return isrEntryCycles + gpioReadCycles + dispatchCycles +
                stateUpdateCycles + gpioWriteCycles +
                gpioReadCycles * 2 + gpioWriteCycles * 2 +
                isrExitCycles + 1;
+    }
+
+    /** Total cycles of the DATA-edge ISR: entry, one GPIO read, the
+     *  dispatch chain, the state update, exit. Shorter than the CLK
+     *  ISR (worstPathCycles()), which also forwards and drives. */
+    constexpr int
+    dataIsrCycles() const
+    {
+        return isrEntryCycles + gpioReadCycles + dispatchCycles +
+               stateUpdateCycles + isrExitCycles;
     }
 
     /** Worst-case path, instructions (the paper's 20). */

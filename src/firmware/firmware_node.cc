@@ -11,12 +11,18 @@ namespace firmware {
 
 FirmwareNode::FirmwareNode(sim::Simulator &sim, Config cfg,
                            wire::Net &clkIn, wire::Net &clkOut,
-                           wire::Net &dataIn, wire::Net &dataOut)
+                           wire::Net &dataIn, wire::Net &dataOut,
+                           std::uint32_t clkTrainMaxEdges)
     : sim_(sim), cfg_(cfg), clkInNet_(clkIn), dataInNet_(dataIn),
       clkIn_(sim, clkIn, wire::Gpio::Direction::Input),
       clkOut_(sim, clkOut, wire::Gpio::Direction::Output),
       dataIn_(sim, dataIn, wire::Gpio::Direction::Input),
       dataOut_(sim, dataOut, wire::Gpio::Direction::Output),
+      // Jitter and merged edges make the CLK retirement latency vary,
+      // and a train needs it constant.
+      clkTrainMaxEdges_(cfg.isrJitterCycles == 0 && !cfg.mergeMissedEdges
+                            ? clkTrainMaxEdges
+                            : 0),
       jitterState_(cfg.jitterSeed ? cfg.jitterSeed : 1)
 {
     clkRetire_.self = this;
@@ -46,7 +52,10 @@ FirmwareNode::FirmwareNode(sim::Simulator &sim, Config cfg,
     dataInNet_.listen(wire::Edge::Any, *this);
 }
 
-FirmwareNode::~FirmwareNode() = default;
+FirmwareNode::~FirmwareNode()
+{
+    clkTrain_.cancel();
+}
 
 void
 FirmwareNode::onNetEdge(wire::Net &net, bool value)
@@ -66,40 +75,109 @@ FirmwareNode::onEdge(Pin pin, bool level)
         return;
     }
 
-    // Same cycle formulas as bitbang::BitbangMbus, so retirement
-    // latency, CPU serialization, and energy line up bit for bit.
     const auto &cost = cfg_.cost;
-    int total;
-    if (pin == Pin::Clk) {
-        const int body = cost.gpioReadCycles + cost.dispatchCycles +
-                         cost.stateUpdateCycles + cost.gpioWriteCycles +
-                         2 * cost.gpioReadCycles +
-                         2 * cost.gpioWriteCycles + 1;
-        total = cost.isrEntryCycles + body + cost.isrExitCycles;
-    } else {
-        const int body = cost.gpioReadCycles + cost.dispatchCycles +
-                         cost.stateUpdateCycles;
-        total = cost.isrEntryCycles + body + cost.isrExitCycles;
-    }
-    total += static_cast<int>(jitterDraw());
+    const int total = (pin == Pin::Clk ? cost.worstPathCycles()
+                                       : cost.dataIsrCycles()) +
+                      static_cast<int>(jitterDraw());
     maxPathCycles_ = std::max(maxPathCycles_, total);
 
-    sim::SimTime start = sim_.now();
+    // One CPU: a new interrupt waits for the running ISR to retire.
+    const sim::SimTime now = sim_.now();
+    sim::SimTime start = now;
     if (cpuBusyUntil_ > start) {
         ++stats_.serializationStalls;
         start = cpuBusyUntil_;
     }
-    sim::SimTime done = start + cfg_.cost.cyclesToTime(total);
+    const sim::SimTime done = start + cost.cyclesToTime(total);
     cpuBusyUntil_ = done;
     ++stats_.isrInvocations;
     stats_.cyclesSpent += static_cast<std::uint64_t>(total);
 
     ++pending;
-    sim_.scheduleEdge(done - sim_.now(),
-                      pin == Pin::Clk
-                          ? static_cast<sim::EdgeSink &>(clkRetire_)
-                          : static_cast<sim::EdgeSink &>(dataRetire_),
-                      level);
+    if (pin == Pin::Clk) {
+        if (clkTrainMaxEdges_ != 0 && coalesceClk(level, done))
+            return;
+        sim_.scheduleEdge(done - now, clkRetire_, level);
+    } else {
+        // DATA edges are irregular (requests, ACKs, payload bits), so
+        // their retirements stay discrete.
+        sim_.scheduleEdge(done - now, dataRetire_, level);
+    }
+}
+
+void
+FirmwareNode::splitClkTrain()
+{
+    (void)clkTrain_.truncateTrainToHead();
+    clkTrainActive_ = false;
+    clkTrainLeft_ = 0;
+    haveClkArrival_ = false;
+    haveClkGap_ = false;
+}
+
+bool
+FirmwareNode::coalesceClk(bool level, sim::SimTime done)
+{
+    const sim::SimTime latency = cfg_.cost.responseLatency();
+    const sim::SimTime now = sim_.now();
+    const bool onTime = done == now + latency; // No CPU stall.
+
+    if (clkTrainActive_) {
+        // Does this arrival confirm the train's next predicted
+        // retirement? Confirmation re-arms the edge with a tie-break
+        // sequence drawn right now -- the exact position a discrete
+        // schedule here would get -- so delivery is bit-identical.
+        if (onTime && level == clkExpectValue_ && now == clkExpectAt_ &&
+            clkTrainLeft_ > 0 && clkTrain_.confirmTrainEdge()) {
+            --clkTrainLeft_;
+            clkExpectValue_ = !level;
+            clkExpectAt_ = now + clkPeriod_;
+            if (clkTrainLeft_ == 0) {
+                // Exhausted cleanly: hand the rhythm straight back to
+                // the detector so the next matching arrival chains a
+                // new train without discrete warm-up.
+                clkTrainActive_ = false;
+                haveClkArrival_ = true;
+                haveClkGap_ = true;
+                lastClkArrival_ = now;
+                lastClkGap_ = clkPeriod_;
+            }
+            return true;
+        }
+        // Stalled, off-rhythm, or wrong level: split back to the
+        // discrete path (the committed in-flight retirement survives).
+        splitClkTrain();
+    }
+
+    if (!onTime) {
+        // A stalled retirement lands off the pure-latency beat:
+        // restart rhythm detection from scratch.
+        haveClkArrival_ = false;
+        haveClkGap_ = false;
+        return false;
+    }
+    const sim::SimTime gap = now - lastClkArrival_;
+    if (haveClkGap_ && gap > 0 && gap == lastClkGap_ && gap > latency) {
+        // Third stall-free arrival on a steady beat: this retirement
+        // becomes the confirmed head of a train.
+        clkPeriod_ = gap;
+        clkTrain_ = sim_.scheduleSpeculativeEdgeTrain(
+            latency, gap, clkTrainMaxEdges_, clkRetire_, level);
+        clkTrainActive_ = true;
+        clkTrainLeft_ = clkTrainMaxEdges_ - 1;
+        clkExpectValue_ = !level;
+        clkExpectAt_ = now + gap;
+        haveClkArrival_ = false;
+        haveClkGap_ = false;
+        return true;
+    }
+    if (haveClkArrival_) {
+        lastClkGap_ = gap;
+        haveClkGap_ = gap > 0;
+    }
+    lastClkArrival_ = now;
+    haveClkArrival_ = true;
+    return false;
 }
 
 void
@@ -110,11 +188,12 @@ FirmwareNode::runIsr(Pin pin, bool level)
             --clkIsrPending_;
         inClkIsr_ = true;
         latchedClk_ = level;
-        const bool wasTx = fsm_->txActive();
+        const ClkSnapshot before{fsm_->state(), fsm_->logical(),
+                                 fsm_->txActive(), fsm_->rxByteIdx()};
         fsm_->MBus_CLKIN_int_handler();
         inClkIsr_ = false;
-        if (!wasTx && fsm_->txActive() && !txQueue_.empty())
-            traceArbWin();
+        if (auto *t = sim_.tracer())
+            traceClkIsr(*t, before);
     } else {
         if (dataIsrPending_ > 0)
             --dataIsrPending_;
@@ -160,15 +239,14 @@ void
 FirmwareNode::afterIsr()
 {
     // MBus_run() executes off the event kernel at the ISR's virtual
-    // timestamp -- the same +0 slot the behavioral model uses for its
-    // completion callbacks.
+    // timestamp, in a +0 slot after the handler.
     if (fsm_->eventsPending() && !runScheduled_) {
         runScheduled_ = true;
         sim_.schedule(0, [this] { drainRun(); });
     }
     // Back to IDLE with messages waiting (a finished transaction, a
-    // lost arbitration, or a squashed request): re-issue after the
-    // same 4x-response-latency guard the model's beginIdle waits.
+    // lost arbitration, or a squashed request): re-issue after a
+    // 4x-response-latency idle guard.
     if (!txQueue_.empty() && fsm_->state() == MBUS_STATE_IDLE &&
         !fsm_->requesting() && !retryScheduled_) {
         retryScheduled_ = true;
@@ -220,19 +298,43 @@ FirmwareNode::pumpSend()
                     front.msg.priority);
 }
 
-void
-FirmwareNode::traceArbWin()
+namespace {
+
+bool
+receiving(MBus_logical_t l)
 {
-    // Spans bracket won arbitrations, as on the chips: a request the
-    // ring squashed or outranked never opens one.
-    if (auto *t = sim_.tracer()) {
+    return l == MBUS_LOGICAL_RECEIVE || l == MBUS_LOGICAL_RECEIVE_BROADCAST;
+}
+
+} // namespace
+
+void
+FirmwareNode::traceClkIsr(trace::Tracer &t, const ClkSnapshot &before)
+{
+    const int node = static_cast<int>(cfg_.shortPrefix) - 1;
+    if (!before.txActive && fsm_->txActive() && !txQueue_.empty()) {
+        // Spans bracket won arbitrations, as on the chips: a request
+        // the ring squashed or outranked never opens one.
         const bus::Message &m = txQueue_.front().msg;
-        const int node = static_cast<int>(cfg_.shortPrefix) - 1;
-        t->beginTx(node, m.dest.encoded(),
-                   static_cast<std::int32_t>(m.payload.size()));
-        t->record(trace::EventKind::ArbWin, node,
-                  fsm_->wonPriority() ? 1 : 0);
+        t.beginTx(node, m.dest.encoded(),
+                  static_cast<std::int32_t>(m.payload.size()));
+        t.record(trace::EventKind::ArbWin, node,
+                 fsm_->wonPriority() ? 1 : 0);
     }
+    if (before.state == MBUS_STATE_ARB_RESERVED_DRIVE &&
+        before.logical == MBUS_LOGICAL_TRANSMIT && !fsm_->txActive())
+        t.record(trace::EventKind::ArbLoss, node);
+    if (!receiving(before.logical) && receiving(fsm_->logical()))
+        t.record(trace::EventKind::AddrPhase, node,
+                 static_cast<std::int64_t>(fsm_->rxAddr()),
+                 static_cast<std::int32_t>(fsm_->rxAddrBits()));
+    if (before.rxBytes == 0 && fsm_->rxByteIdx() == 1)
+        t.record(trace::EventKind::DataPhase, node,
+                 static_cast<std::int64_t>(fsm_->recvByte(0)));
+    if (before.state != MBUS_STATE_REQUEST_INTERRUPT &&
+        fsm_->state() == MBUS_STATE_REQUEST_INTERRUPT)
+        t.record(trace::EventKind::InterjectRequest, node,
+                 fsm_->interjectorEom() ? 1 : 0);
 }
 
 void
@@ -351,11 +453,11 @@ addFirmwareMember(bus::MBusSystem &sys, std::string name,
     sim::Simulator &sim = sys.simulator();
     sys.addSoftMember(
         std::move(name), cfg.cost.responseLatency(),
-        [&sim, cfg](const bus::SystemConfig &,
+        [&sim, cfg](const bus::SystemConfig &ring,
                     const bus::SoftMemberPins &pins) {
             return std::make_unique<FirmwareNode>(
                 sim, cfg, pins.clkIn, pins.clkOut, pins.dataIn,
-                pins.dataOut);
+                pins.dataOut, ring.edgeTrains ? ring.trainMaxEdges : 0);
         });
 }
 

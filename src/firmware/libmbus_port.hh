@@ -181,6 +181,11 @@ class LibMbus
     int interruptCount() const { return interrupt_count; }
     std::size_t txByteIdx() const { return tx_byte_idx; }
     const std::uint8_t *txBuf() const { return tx_buf; }
+    bool interjectorEom() const { return interjector_eom; }
+    std::uint32_t rxAddr() const { return rx_addr; }
+    int rxAddrBits() const { return rx_addr_bits; }
+    std::size_t rxByteIdx() const { return rx_byte_idx; }
+    std::uint8_t recvByte(std::size_t i) const { return recv_buf[i]; }
 
   private:
     struct Event

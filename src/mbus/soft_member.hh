@@ -5,9 +5,9 @@
  * A bit-banged member is "just another ring member": it forwards,
  * receives and transmits on four GPIOs, and MBusSystem wires it into
  * the last ring position exactly as it binds a chip. This is the
- * small surface the ring and the backend need from it; the
- * behavioral engine (bitbang::BitbangMbus) and the ported firmware
- * (firmware::FirmwareNode) both implement it.
+ * small surface the ring and the backend need from it, so the ring
+ * never depends on the member's implementation (the ported libmbus
+ * firmware, firmware::FirmwareNode).
  */
 
 #ifndef MBUS_BUS_SOFT_MEMBER_HH

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 namespace mbus {
 namespace sim {
@@ -26,19 +27,37 @@ logLevel()
 
 namespace detail {
 
+namespace {
+
+/** Write a whole line with one insert: sweep threads share the
+ *  streams, and piecewise inserts interleave mid-line. */
+void
+writeLine(std::ostream &os, const std::string &line)
+{
+    os << line << std::flush;
+}
+
+std::string
+located(const char *tag, const std::string &msg, const char *file,
+        int line)
+{
+    return tag + msg + "\n  at " + file + ":" + std::to_string(line) +
+           "\n";
+}
+
+} // namespace
+
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
-    std::cerr << "panic: " << msg << "\n  at " << file << ":" << line
-              << std::endl;
+    writeLine(std::cerr, located("panic: ", msg, file, line));
     std::abort();
 }
 
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    std::cerr << "fatal: " << msg << "\n  at " << file << ":" << line
-              << std::endl;
+    writeLine(std::cerr, located("fatal: ", msg, file, line));
     std::exit(1);
 }
 
@@ -46,20 +65,20 @@ void
 warnImpl(const std::string &msg)
 {
     if (gLogLevel != LogLevel::Quiet)
-        std::cerr << "warn: " << msg << std::endl;
+        writeLine(std::cerr, "warn: " + msg + "\n");
 }
 
 void
 informImpl(const std::string &msg)
 {
     if (gLogLevel != LogLevel::Quiet)
-        std::cout << "info: " << msg << std::endl;
+        writeLine(std::cout, "info: " + msg + "\n");
 }
 
 void
 debugImpl(const std::string &msg)
 {
-    std::cout << "debug: " << msg << std::endl;
+    writeLine(std::cout, "debug: " + msg + "\n");
 }
 
 } // namespace detail

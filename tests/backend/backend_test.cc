@@ -15,7 +15,7 @@
 #include "backend/i2c_backend.hh"
 #include "backend/mbus_backend.hh"
 #include "baseline/i2c.hh"
-#include "bitbang/bitbang_mbus.hh"
+#include "firmware/firmware_node.hh"
 #include "sim/simulator.hh"
 
 using namespace mbus;
@@ -312,7 +312,7 @@ TEST(BitbangBackend, FiveNodeRingForwardsThroughSoftMember)
               bus::TxStatus::Ack);
     EXPECT_EQ(seen, msg.payload);
     EXPECT_GT(ring.system()
-                  .softMemberAs<bitbang::BitbangMbus>()
+                  .softMemberAs<firmware::FirmwareNode>()
                   .stats()
                   .isrInvocations,
               0u);

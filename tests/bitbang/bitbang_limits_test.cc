@@ -17,7 +17,7 @@ TEST(BitbangLimits, FasterCpuSupportsFasterBus)
 {
     // A 32 MHz core quadruples the envelope; run at 60 kHz.
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     bb.cost.cpuHz = 32e6;
     auto ring = buildMixedRing(simulator, 60e3, bb);
@@ -40,7 +40,7 @@ TEST(BitbangLimitsDeath, OverfastMixedRingIsRejected)
     EXPECT_EXIT(
         {
             sim::Simulator simulator;
-            BitbangMbus::Config bb;
+            firmware::FirmwareNode::Config bb;
             bb.shortPrefix = 3;
             buildMixedRing(simulator, 200e3, bb);
         },
@@ -50,10 +50,10 @@ TEST(BitbangLimitsDeath, OverfastMixedRingIsRejected)
 TEST(BitbangLimits, SustainedBidirectionalTraffic)
 {
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     auto ring = buildMixedRing(simulator, 20e3, bb);
-    auto &soft = ring->softMemberAs<BitbangMbus>();
+    auto &soft = ring->softMemberAs<firmware::FirmwareNode>();
 
     int sw_rx = 0, hw_rx = 0;
     soft.setReceiveCallback(
@@ -99,10 +99,10 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
 TEST(BitbangLimits, CpuSerializationIsAccounted)
 {
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     auto ring = buildMixedRing(simulator, 20e3, bb);
-    auto &soft = ring->softMemberAs<BitbangMbus>();
+    auto &soft = ring->softMemberAs<firmware::FirmwareNode>();
 
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);

@@ -52,10 +52,10 @@ TEST(MixedRing, HardwareToBitbangDelivery)
     // A hardware node sends; the software member receives. 20 kHz is
     // comfortably inside the conservative envelope for an 8 MHz CPU.
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     auto ring = buildMixedRing(simulator, 20e3, bb);
-    auto &soft = ring->softMemberAs<BitbangMbus>();
+    auto &soft = ring->softMemberAs<firmware::FirmwareNode>();
 
     std::vector<std::uint8_t> seen;
     soft.setReceiveCallback(
@@ -79,10 +79,10 @@ TEST(MixedRing, HardwareToBitbangDelivery)
 TEST(MixedRing, BitbangToHardwareDelivery)
 {
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     auto ring = buildMixedRing(simulator, 20e3, bb);
-    auto &soft = ring->softMemberAs<BitbangMbus>();
+    auto &soft = ring->softMemberAs<firmware::FirmwareNode>();
 
     std::vector<std::uint8_t> seen;
     ring->node(1).layer().setMailboxHandler(
@@ -107,10 +107,10 @@ TEST(MixedRing, SoftwareMemberForwardsThirdPartyTraffic)
     // hw0 -> hw1 passes THROUGH the software member's forwarding
     // path: interoperability with zero tuning (Sec 6.5).
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     auto ring = buildMixedRing(simulator, 20e3, bb);
-    auto &soft = ring->softMemberAs<BitbangMbus>();
+    auto &soft = ring->softMemberAs<firmware::FirmwareNode>();
 
     std::vector<std::uint8_t> seen;
     ring->node(1).layer().setMailboxHandler(
@@ -134,10 +134,10 @@ TEST(MixedRing, SoftwareMemberForwardsThirdPartyTraffic)
 TEST(MixedRing, ObservedIsrPathWithinModelledWorstCase)
 {
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     auto ring = buildMixedRing(simulator, 20e3, bb);
-    auto &soft = ring->softMemberAs<BitbangMbus>();
+    auto &soft = ring->softMemberAs<firmware::FirmwareNode>();
 
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(3, 0);
@@ -159,7 +159,7 @@ TEST(MixedRing, MaxLengthConfigReachesTheMediator)
     // on a hardware one: a max-length broadcast from a member
     // reaches the mediator host, which applies it.
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
+    firmware::FirmwareNode::Config bb;
     bb.shortPrefix = 3;
     auto ring = buildMixedRing(simulator, 20e3, bb);
     ASSERT_NE(ring->mediator().maxMessageBytes(), 4096u);

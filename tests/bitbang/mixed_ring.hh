@@ -11,7 +11,7 @@
 #include <memory>
 #include <string>
 
-#include "bitbang/bitbang_mbus.hh"
+#include "firmware/firmware_node.hh"
 #include "mbus/system.hh"
 
 namespace mbus {
@@ -21,7 +21,7 @@ namespace bitbang {
  *  member built from @p bb, at @p busHz. */
 inline std::unique_ptr<bus::MBusSystem>
 buildMixedRing(sim::Simulator &sim, double busHz,
-               const BitbangMbus::Config &bb)
+               const firmware::FirmwareNode::Config &bb)
 {
     bus::SystemConfig cfg;
     cfg.busClockHz = busHz;
@@ -34,7 +34,7 @@ buildMixedRing(sim::Simulator &sim, double busHz,
         nc.powerGated = false;
         ring->addNode(nc);
     }
-    addBitbangMember(*ring, "bb", bb);
+    firmware::addFirmwareMember(*ring, "bb", bb);
     ring->finalize();
     return ring;
 }

@@ -13,8 +13,9 @@
  *
  * The FirmwareNode tests run the same FSM as the software member of a
  * mixed ring (MbusBackend, BackendKind::Firmware) and pin the
- * harness contract: busy sends queue FIFO instead of stomping, and
- * error codes surface as bus::TxStatus / bus::LocalError.
+ * harness contract: busy sends queue FIFO instead of stomping, error
+ * codes surface as bus::TxStatus / bus::LocalError, and the member
+ * emits a hardware member's protocol trace records.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "firmware/firmware_node.hh"
 #include "firmware/libmbus_port.hh"
 #include "sim/simulator.hh"
+#include "trace/trace.hh"
 
 using namespace mbus;
 using namespace mbus::firmware;
@@ -578,4 +580,58 @@ TEST(FirmwareBackend, RxOverflowSurfacesLocalErrorAtDelivery)
     EXPECT_EQ(seen->error, bus::LocalError::RecvOverflow);
     EXPECT_TRUE(seen->interjected);
     EXPECT_LT(seen->payload.size(), msg.payload.size());
+}
+
+TEST(FirmwareBackend, TracesAHardwareMembersProtocolRecords)
+{
+    // The member's trace reads like a chip's: an address match and
+    // the first received byte on receive; an arbitration win and an
+    // end-of-message interjection request on transmit; an arbitration
+    // loss when an upstream chip requests in the same idle window.
+    sim::Simulator simulator;
+    backend::BusParams p = ringParams(3, 400e3);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Firmware);
+    trace::TraceConfig cfg;
+    cfg.protocol = true;
+    trace::Tracer tracer(simulator, cfg, p.nodes);
+    simulator.setTracer(&tracer);
+    const std::size_t soft = ring.nodeCount() - 1;
+
+    bus::Message toSoft;
+    toSoft.dest = ring.unicastAddress(soft, false, 0);
+    toSoft.payload = {0x5A, 0x34};
+    EXPECT_EQ(sendAndRun(simulator, ring, 1, toSoft).status,
+              bus::TxStatus::Ack);
+    bus::Message toGateway;
+    toGateway.dest = ring.unicastAddress(0, false, 7);
+    toGateway.payload = {0xCA};
+    EXPECT_EQ(sendAndRun(simulator, ring, soft, toGateway).status,
+              bus::TxStatus::Ack);
+    std::optional<bus::TxResult> upstream;
+    ring.send(1, toGateway,
+              [&](const bus::TxResult &r) { upstream = r; });
+    EXPECT_EQ(sendAndRun(simulator, ring, soft, toGateway).status,
+              bus::TxStatus::Ack);
+    ASSERT_TRUE(upstream.has_value());
+    simulator.setTracer(nullptr);
+
+    std::vector<trace::TraceEvent> mine;
+    for (const trace::TraceEvent &e : tracer.events())
+        if (e.node == soft && e.kind != trace::EventKind::TxBegin &&
+            e.kind != trace::EventKind::TxEnd &&
+            e.kind != trace::EventKind::Delivery)
+            mine.push_back(e);
+    using K = trace::EventKind;
+    const std::vector<K> want = {K::AddrPhase, K::DataPhase, K::ArbWin,
+                                 K::InterjectRequest, K::ArbLoss,
+                                 K::ArbWin, K::InterjectRequest};
+    ASSERT_EQ(mine.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(mine[i].kind, want[i]) << "record " << i;
+    EXPECT_EQ(mine[0].a, toSoft.dest.encoded()); // Short address...
+    EXPECT_EQ(mine[0].b, 8);                     // ...of 8 bits.
+    EXPECT_EQ(mine[1].a, 0x5A);                  // First byte only.
+    EXPECT_EQ(mine[2].a, 0);                     // Main round win.
+    EXPECT_EQ(mine[3].a, 1);                     // Clean end of message.
 }

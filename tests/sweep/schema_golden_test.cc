@@ -226,10 +226,13 @@ TEST(SchemaGolden, SpecStatsCsvAndJsonBytesArePinned)
     // Spec bytes captured before the field-table codec and writers
     // landed; stats, CSV and JSON recaptured when "stat2" added the
     // runaway_kills row (a 0 column per cell, a runaway_kills=0
-    // metric per traced cell; every other byte unchanged).
+    // metric per traced cell; every other byte unchanged), and again
+    // when the software member began coalescing CLK ISR retirements
+    // (cell 4's events, events_per_bit, train_edges and
+    // trains_scheduled; same lengths, every other byte unchanged).
     expectGolden("encodeSpec", specs, {0x2270f17c8c2b077fULL, 2224});
-    expectGolden("encodeStats", stats, {0x7d22eacc27cbf59bULL, 53933});
-    expectGolden("writeCsv", csv.str(), {0x528d6c75567770e4ULL, 8991});
+    expectGolden("encodeStats", stats, {0xe7561af40274629eULL, 53933});
+    expectGolden("writeCsv", csv.str(), {0x0c7d9a97cca96254ULL, 8991});
     expectGolden("writeJson", json.str(),
-                 {0x7b95caece29ee533ULL, 12383});
+                 {0x26a083b0a9e570e0ULL, 12383});
 }
