@@ -25,11 +25,11 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
 #include <poll.h>
-#include <sched.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -39,6 +39,7 @@
 #include "fleet/fleet.hh"
 #include "fleet/journal.hh"
 #include "fleet/protocol.hh"
+#include "sim/cpu_placement.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
 
@@ -48,50 +49,6 @@ namespace fleet {
 namespace {
 
 enum class CellState : char { Pending, Granted, Done };
-
-#ifdef __linux__
-/**
- * Move the calling, freshly forked worker @p id onto a CPU of its
- * own. A kernel that does not balance load across the allowed CPUs
- * (a cpuset with sched_load_balance off) never migrates a forked
- * child off its parent's CPU, so N workers would time-share one core
- * for life. Worker k goes to the (k+1)-th allowed CPU after
- * @p parentCpu, wrapping around; the full inherited mask is then
- * restored, so a balancing kernel can still move it. Allocation-free
- * (it runs between fork and exec); a no-op on a one-CPU mask or when
- * a call fails.
- */
-void
-startOnOwnCpu(unsigned id, int parentCpu)
-{
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0)
-        return;
-    const int n = CPU_COUNT(&allowed);
-    if (n < 2)
-        return;
-    int own = -1; // Rank of parentCpu in the mask; -1 if outside it.
-    for (int c = 0, rank = 0; c < CPU_SETSIZE && own < 0; ++c)
-        if (CPU_ISSET(c, &allowed)) {
-            if (c == parentCpu)
-                own = rank;
-            ++rank;
-        }
-    const int target = static_cast<int>(
-        (static_cast<unsigned>(own + 1) + id) % static_cast<unsigned>(n));
-    for (int c = 0, rank = 0; c < CPU_SETSIZE; ++c) {
-        if (!CPU_ISSET(c, &allowed) || rank++ != target)
-            continue;
-        cpu_set_t one;
-        CPU_ZERO(&one);
-        CPU_SET(c, &one);
-        if (::sched_setaffinity(0, sizeof one, &one) == 0)
-            ::sched_setaffinity(0, sizeof allowed, &allowed);
-        return;
-    }
-}
-#endif
 
 struct WorkerProc
 {
@@ -119,7 +76,12 @@ struct Coordinator
     std::vector<std::uint64_t> keys;
 
     std::vector<CellState> state;
-    std::vector<std::string> doneStats;
+    /** A Done cell's stats, decoded as it lands, while the loop would
+     *  otherwise wait in poll(): the merge after the last cell only
+     *  moves them. decoded[i] is false for a Done cell whose stats
+     *  did not decode; the merge leaves it out. */
+    std::vector<sweep::ScenarioStats> doneStats;
+    std::vector<bool> decoded;
     std::vector<double> wall;
     std::uint64_t doneCount = 0;
     std::uint64_t mergedThisRun = 0;
@@ -152,21 +114,32 @@ struct Coordinator
                 continue;
             if (kv.second.key != keys[idx])
                 continue; // Different grid/seed/salt: stale entry.
-            sweep::ScenarioStats probe;
-            if (!sweep::decodeStats(kv.second.statsBytes, probe))
+            if (!decodeInto(idx, kv.second.statsBytes))
                 continue; // Unreadable: let the cell re-run.
-            markDone(idx, kv.second.statsBytes, 0.0);
+            markDone(idx, true, 0.0);
             ++absorbed;
         }
         stats.cellsFromJournal += absorbed;
         return absorbed;
     }
 
+    /** Decode @p bytes into cell @p idx's stats, from a fresh record.
+     *  @return false, leaving them untouched, if they do not decode. */
+    bool
+    decodeInto(std::uint64_t idx, const std::string &bytes)
+    {
+        sweep::ScenarioStats fresh;
+        if (!sweep::decodeStats(bytes, fresh))
+            return false;
+        doneStats[idx] = std::move(fresh);
+        return true;
+    }
+
     void
-    markDone(std::uint64_t idx, const std::string &bytes, double w)
+    markDone(std::uint64_t idx, bool statsDecoded, double w)
     {
         state[idx] = CellState::Done;
-        doneStats[idx] = bytes;
+        decoded[idx] = statsDecoded;
         wall[idx] = w;
         ++doneCount;
         if (cfg.onCellDone)
@@ -264,9 +237,7 @@ struct Coordinator
             return;
         }
         std::fflush(nullptr); // No duplicated stdio in the child.
-#ifdef __linux__
-        const int parentCpu = ::sched_getcpu();
-#endif
+        const int parentCpu = sim::currentCpu();
         pid_t pid = ::fork();
         if (pid < 0) {
             std::perror("fleet: fork");
@@ -276,9 +247,8 @@ struct Coordinator
             return;
         }
         if (pid == 0) {
-#ifdef __linux__
-            startOnOwnCpu(w.id, parentCpu);
-#endif
+            // Worker k starts k+1 CPUs after the coordinator's.
+            sim::startOnOwnCpu(w.id, parentCpu);
             // Child: become a worker. Close the coordinator's ends
             // (and every other worker's fds we inherited).
             ::close(toPipe[1]);
@@ -396,7 +366,8 @@ struct Coordinator
         if (it != w.inflight.end())
             w.inflight.erase(it);
         if (state[idx] != CellState::Done) {
-            markDone(idx, msg.str("stats"), msg.dbl("wall"));
+            markDone(idx, decodeInto(idx, msg.str("stats")),
+                     msg.dbl("wall"));
             ++mergedThisRun;
             bool cached = msg.u64("cached") != 0;
             if (!cfg.cacheDir.empty()) {
@@ -559,6 +530,7 @@ runFleet(const std::vector<sweep::ScenarioSpec> &grid,
     co.keys.resize(n);
     co.state.assign(n, CellState::Pending);
     co.doneStats.resize(n);
+    co.decoded.assign(n, false);
     co.wall.assign(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         co.specBytes[i] = sweep::encodeSpec(grid[i]);
@@ -622,15 +594,16 @@ runFleet(const std::vector<sweep::ScenarioSpec> &grid,
     for (std::size_t i = 0; i < n; ++i) {
         if (co.state[i] != CellState::Done)
             continue;
+        if (!co.decoded[i]) {
+            decodeOk = false;
+            continue;
+        }
         sweep::CellResult cell;
         cell.spec = grid[i];
         cell.index = i;
         cell.seed = co.seeds[i];
         cell.wallSeconds = co.wall[i];
-        if (!sweep::decodeStats(co.doneStats[i], cell.stats)) {
-            decodeOk = false;
-            continue;
-        }
+        cell.stats = std::move(co.doneStats[i]);
         cells.push_back(std::move(cell));
     }
     out.result = sweep::SweepResult::fromCells(scfg, std::move(cells));

@@ -29,6 +29,7 @@
 #include "fleet/fleet.hh"
 #include "fleet/journal.hh"
 #include "fleet/protocol.hh"
+#include "sim/cpu_placement.hh"
 #include "sim/fsio.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
@@ -157,10 +158,17 @@ workerMain(int inFd, int outFd)
         }
     };
 
+    // Simulation thread 0 shares the worker's CPU with this mostly
+    // blocked reader; thread t starts t CPUs after it.
+    const int workerCpu = sim::currentCpu();
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)
-        pool.emplace_back(simLoop);
+        pool.emplace_back([&simLoop, t, workerCpu] {
+            if (t > 0)
+                sim::startOnOwnCpu(t - 1, workerCpu);
+            simLoop();
+        });
 
     int rc = 0;
     for (;;) {

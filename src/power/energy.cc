@@ -36,11 +36,9 @@ EnergyLedger::resize(std::size_t nodeCount)
 }
 
 void
-EnergyLedger::charge(std::size_t node, EnergyCategory cat, double joules)
+EnergyLedger::unknownNode(std::size_t node)
 {
-    if (node >= perNode_.size())
-        mbus_panic("energy charge to unknown node ", node);
-    perNode_[node][static_cast<std::size_t>(cat)] += joules;
+    mbus_panic("energy charge to unknown node ", node);
 }
 
 double

@@ -53,8 +53,15 @@ class EnergyLedger
     /** Grow to at least @p nodeCount slots. */
     void resize(std::size_t nodeCount);
 
-    /** Add @p joules to (node, category). */
-    void charge(std::size_t node, EnergyCategory cat, double joules);
+    /** Add @p joules to (node, category). Inline: the wire and the
+     *  bus FSMs charge once per edge. */
+    void
+    charge(std::size_t node, EnergyCategory cat, double joules)
+    {
+        if (node >= perNode_.size())
+            unknownNode(node);
+        perNode_[node][static_cast<std::size_t>(cat)] += joules;
+    }
 
     /** Total for one node across all categories. */
     double nodeTotal(std::size_t node) const;
@@ -81,6 +88,8 @@ class EnergyLedger
     void report(std::ostream &os) const;
 
   private:
+    [[noreturn]] static void unknownNode(std::size_t node);
+
     using Row = std::array<double, kNumCategories>;
     std::vector<Row> perNode_;
 };

@@ -55,25 +55,6 @@ EventQueue::cancel(std::uint32_t slot, std::uint64_t seq)
     // so it is skipped (and dropped) at pop time.
 }
 
-bool
-EventQueue::confirmTrain(std::uint32_t slot, std::uint64_t seq)
-{
-    if (!isPending(slot, seq))
-        return false;
-    Event &ev = slotRef(slot);
-    if (ev.trainRemaining == 0 || !ev.trainSpeculative ||
-        ev.trainHeadQueued) {
-        return false;
-    }
-    const std::uint64_t fresh = ++nextSeq_;
-    entrySeq_[slot] = fresh;
-    ev.trainHeadQueued = true;
-    ++live_;
-    heap_.push_back(HeapEntry{ev.trainNextWhen, fresh, slot});
-    siftUp(heap_.size() - 1);
-    return true;
-}
-
 std::uint32_t
 EventQueue::truncateTrainToHead(std::uint32_t slot, std::uint64_t seq)
 {

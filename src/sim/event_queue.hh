@@ -21,6 +21,15 @@
  * performs zero heap allocations: slots, heap storage and callback
  * bytes are all reused.
  *
+ * Front slot: the earliest entry is kept in `front_`, beside the
+ * heap, whenever it was pushed ahead of everything queued. On a ring
+ * most steps pop the entry the previous step pushed (the next hop of
+ * the same edge), so that entry never enters the heap: no siftUp on
+ * push, no siftDown on pop. Invariant: front_ is never later, in
+ * (when, seq) order, than any heap entry -- stale entries included --
+ * so the earliest live entry is front_ if it is live and the heap top
+ * otherwise, and dispatch order is exactly (when, seq) as before.
+ *
  * Struct-of-arrays hot path: the per-slot generation tags
  * (occupiedSeq / entrySeq) are NOT stored in the 64+-byte Event slots
  * but in two dense parallel arrays indexed by slot number. The
@@ -72,9 +81,9 @@
  * in trainEdgesDelivered(). Cancelling a train refunds every
  * remaining (undelivered) edge from live accounting in one step.
  *
- * The hot path (schedule / step) is header-inline by design: event
- * dispatch is the single hottest code in the simulator and must not
- * pay a cross-TU call per event.
+ * The hot path (schedule / step / confirmTrain) is header-inline by
+ * design: event dispatch is the single hottest code in the simulator
+ * and must not pay a cross-TU call per event.
  */
 
 #ifndef MBUS_SIM_EVENT_QUEUE_HH
@@ -193,8 +202,7 @@ class EventQueue
         const std::uint64_t seq = ++nextSeq_;
         occupiedSeq_[slot] = seq;
         entrySeq_[slot] = seq;
-        heap_.push_back(HeapEntry{when, seq, slot});
-        siftUp(heap_.size() - 1);
+        push(HeapEntry{when, seq, slot});
         if (++live_ > liveHighWater_)
             liveHighWater_ = live_;
         return EventHandle(this, slot, seq);
@@ -255,12 +263,20 @@ class EventQueue
     step(SimTime limit, SimTime &firedAt)
     {
         skipStale();
-        if (heap_.empty())
-            return Step::Drained;
-        HeapEntry top = heap_.front();
-        if (top.when > limit)
-            return Step::BeyondLimit;
-        popHeapTop();
+        HeapEntry top;
+        if (hasFront_) {
+            top = front_;
+            if (top.when > limit)
+                return Step::BeyondLimit;
+            hasFront_ = false;
+        } else {
+            if (heap_.empty())
+                return Step::Drained;
+            top = heap_.front();
+            if (top.when > limit)
+                return Step::BeyondLimit;
+            popHeapTop();
+        }
         firedAt = top.when;
 
         Event &ev = slotRef(top.slot);
@@ -300,6 +316,8 @@ class EventQueue
     nextTime() const
     {
         skipStale();
+        if (hasFront_)
+            return front_.when;
         return heap_.empty() ? kTimeForever : heap_.front().when;
     }
 
@@ -455,8 +473,7 @@ class EventQueue
         ev.trainSpeculative = speculative;
         ev.trainHeadQueued = true;
         ev.trainCounted = false;
-        heap_.push_back(HeapEntry{firstWhen, seq, slot});
-        siftUp(heap_.size() - 1);
+        push(HeapEntry{firstWhen, seq, slot});
         live_ += speculative ? 1 : count;
         if (live_ > liveHighWater_)
             liveHighWater_ = live_;
@@ -507,8 +524,7 @@ class EventQueue
             const std::uint64_t seq = ++nextSeq_;
             entrySeq_[top.slot] = seq;
             ev.trainHeadQueued = true;
-            heap_.push_back(HeapEntry{ev.trainNextWhen, seq, top.slot});
-            siftUp(heap_.size() - 1);
+            push(HeapEntry{ev.trainNextWhen, seq, top.slot});
         }
         // Speculative: dormant until confirmTrain().
     }
@@ -521,23 +537,79 @@ class EventQueue
 
     void cancel(std::uint32_t slot, std::uint64_t seq);
 
-    bool confirmTrain(std::uint32_t slot, std::uint64_t seq);
+    /** Re-arm the next edge of a dormant speculative train (inline:
+     *  every confirmed ring hop calls it). */
+    bool
+    confirmTrain(std::uint32_t slot, std::uint64_t seq)
+    {
+        if (!isPending(slot, seq))
+            return false;
+        Event &ev = slotRef(slot);
+        if (ev.trainRemaining == 0 || !ev.trainSpeculative ||
+            ev.trainHeadQueued) {
+            return false;
+        }
+        const std::uint64_t fresh = ++nextSeq_;
+        entrySeq_[slot] = fresh;
+        ev.trainHeadQueued = true;
+        ++live_;
+        push(HeapEntry{ev.trainNextWhen, fresh, slot});
+        return true;
+    }
 
     std::uint32_t truncateTrainToHead(std::uint32_t slot,
                                       std::uint64_t seq);
 
     void addChunk();
 
-    /** Drop stale (cancelled / superseded) entries from the heap head.
-     *  SoA hot loop: touches heap_ and the dense entrySeq_ array only
+    bool
+    isStale(const HeapEntry &e) const
+    {
+        return entrySeq_[e.slot] != e.seq;
+    }
+
+    /** Index an entry: it takes the front slot if it beats everything
+     *  queued (the previous front, if any, moves into the heap), and
+     *  goes into the heap otherwise. Keeps front_ no later than any
+     *  heap entry, stale ones included. */
+    void
+    push(const HeapEntry &entry)
+    {
+        if (hasFront_) {
+            if (!entry.earlierThan(front_)) {
+                heapPush(entry);
+                return;
+            }
+            heapPush(front_);
+        } else if (!heap_.empty() && !entry.earlierThan(heap_.front())) {
+            heapPush(entry);
+            return;
+        }
+        front_ = entry;
+        hasFront_ = true;
+    }
+
+    void
+    heapPush(const HeapEntry &entry)
+    {
+        heap_.push_back(entry);
+        siftUp(heap_.size() - 1);
+    }
+
+    /** Drop stale (cancelled / superseded) entries from the front slot
+     *  and the heap head, until the earliest entry is live. SoA hot
+     *  loop: touches front_, heap_ and the dense entrySeq_ array only
      *  -- never the cold Event slots. */
     void
     skipStale() const
     {
-        while (!heap_.empty() &&
-               entrySeq_[heap_.front().slot] != heap_.front().seq) {
-            popHeapTop();
+        if (hasFront_) {
+            if (!isStale(front_))
+                return;
+            hasFront_ = false;
         }
+        while (!heap_.empty() && isStale(heap_.front()))
+            popHeapTop();
     }
 
     void
@@ -584,6 +656,11 @@ class EventQueue
             siftDown(0);
     }
 
+    /** The earliest entry, kept out of the heap while hasFront_: a
+     *  step that pops what the previous step pushed then costs no
+     *  sift at all. Never later than any heap entry. */
+    mutable HeapEntry front_{};
+    mutable bool hasFront_ = false;
     mutable std::vector<HeapEntry> heap_;
     std::vector<std::unique_ptr<Event[]>> chunks_;
     /** Hot generation tags, parallel to the slab (index = slot; see

@@ -26,31 +26,5 @@ Simulator::run(SimTime limit)
     return now_;
 }
 
-bool
-Simulator::runUntil(const std::function<bool()> &done, SimTime limit)
-{
-    stopRequested_ = false;
-    if (done())
-        return true;
-    while (!stopRequested_) {
-        EventQueue::Step r = queue_.step(limit, now_);
-        if (r == EventQueue::Step::Executed) {
-            if (done())
-                return true;
-            continue;
-        }
-        if (r == EventQueue::Step::BeyondLimit) {
-            now_ = limit;
-            return done();
-        }
-        break; // Drained.
-    }
-    // No events can change the predicate any more; idle out to the
-    // limit before the final check.
-    if (!stopRequested_ && limit != kTimeForever && now_ < limit)
-        now_ = limit;
-    return done();
-}
-
 } // namespace sim
 } // namespace mbus

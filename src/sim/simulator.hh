@@ -12,7 +12,6 @@
 #define MBUS_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
@@ -116,12 +115,38 @@ class Simulator
 
     /**
      * Run until @p done returns true, the queue drains, or @p limit
-     * passes. The predicate is checked after every event.
+     * passes. The predicate is checked after every event, so it is a
+     * template parameter: inlined into the loop, not called through a
+     * type-erased wrapper per event.
      *
      * @return true if the predicate was satisfied.
      */
-    bool runUntil(const std::function<bool()> &done,
-                  SimTime limit = kTimeForever);
+    template <typename Pred>
+    bool
+    runUntil(Pred &&done, SimTime limit = kTimeForever)
+    {
+        stopRequested_ = false;
+        if (done())
+            return true;
+        while (!stopRequested_) {
+            EventQueue::Step r = queue_.step(limit, now_);
+            if (r == EventQueue::Step::Executed) {
+                if (done())
+                    return true;
+                continue;
+            }
+            if (r == EventQueue::Step::BeyondLimit) {
+                now_ = limit;
+                return done();
+            }
+            break; // Drained.
+        }
+        // No events can change the predicate any more; idle out to the
+        // limit before the final check.
+        if (!stopRequested_ && limit != kTimeForever && now_ < limit)
+            now_ = limit;
+        return done();
+    }
 
     /** Request that run() return after the current event. */
     void stop() { stopRequested_ = true; }

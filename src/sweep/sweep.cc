@@ -13,6 +13,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "sim/cpu_placement.hh"
 #include "sim/fsio.hh"
 #include "sim/random.hh"
 
@@ -689,11 +690,17 @@ SweepDriver::runRange(const std::vector<ScenarioSpec> &grid,
         }
     };
 
+    // The caller's thread is worker 0; pool thread t starts t CPUs
+    // after the caller's (see sim/cpu_placement.hh).
+    const int parentCpu = sim::currentCpu();
     std::vector<std::thread> pool;
     pool.reserve(workers - 1);
     for (std::size_t t = 1; t < workers; ++t)
-        pool.emplace_back(work);
-    work(); // The caller's thread is worker 0.
+        pool.emplace_back([&work, t, parentCpu] {
+            sim::startOnOwnCpu(static_cast<unsigned>(t - 1), parentCpu);
+            work();
+        });
+    work();
     for (auto &th : pool)
         th.join();
     return result;

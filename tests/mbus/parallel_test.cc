@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <type_traits>
+
 #include "analysis/goodput.hh"
 #include "mbus/system.hh"
 #include "tests/mbus/testutil.hh"
@@ -15,11 +18,16 @@ using namespace mbus::test;
 
 namespace {
 
+/** gtest prints a parameter's raw bytes into each ctest name, so the
+ *  struct has no padding: every printed byte is defined, and the
+ *  names stay the same from build to build. */
 struct LaneCase
 {
-    int lanes;
+    std::size_t lanes;
     std::size_t payloadBytes;
 };
+static_assert(std::has_unique_object_representations_v<LaneCase>,
+              "padding bytes would leak into the test names");
 
 class ParallelMbus : public ::testing::TestWithParam<LaneCase>
 {
@@ -32,7 +40,7 @@ TEST_P(ParallelMbus, DeliversAcrossLanes)
     const LaneCase param = GetParam();
     sim::Simulator simulator;
     bus::SystemConfig cfg;
-    cfg.dataLanes = param.lanes;
+    cfg.dataLanes = static_cast<int>(param.lanes);
     bus::MBusSystem system(simulator, cfg);
     buildRing(system, 3);
 
